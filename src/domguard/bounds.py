@@ -18,27 +18,12 @@ from .graph import (Graph, component_is_complete, complement, has_hamiltonian_cy
                     is_connected, is_cycle_graph, iter_bits, leaf_count, max_degree,
                     min_degree)
 from .graph6 import write_graph6
-from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolverLimits, gamma, gamma_k,
-                      gamma_roman, gamma_secure, gamma_weak_roman, chromatic_number,
-                      clique_cover, matching_number, tau, two_packing,
+from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolverLimits, gamma_secure, solve,
                       weak_roman_function_with_reserve)
 
 
 class InvariantCache:
     """Lazily computed exact invariants for one graph under a solver budget."""
-
-    _SOLVERS = {
-        "gamma": gamma,
-        "gamma_2": lambda g, lim: gamma_k(g, 2, lim),
-        "gamma_roman": gamma_roman,
-        "gamma_weak_roman": gamma_weak_roman,
-        "gamma_secure": gamma_secure,
-        "matching": matching_number,
-        "two_packing": two_packing,
-        "chromatic": chromatic_number,
-        "clique_cover": clique_cover,
-        "tau": tau,
-    }
 
     def __init__(self, g: Graph, limits: Optional[SolverLimits] = None):
         self.graph = g
@@ -48,7 +33,7 @@ class InvariantCache:
 
     def value(self, key: str) -> int:
         if key not in self._values:
-            self._values[key] = self._SOLVERS[key](self.graph, self.limits).value
+            self._values[key] = solve(self.graph, key, self.limits).value
         return self._values[key]
 
     def computed_values(self) -> dict[str, int]:

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .graph import Graph, VertexSet, complement, iter_bits
-from .protection import GuardFunction, kdom_mask, secure_mask, wrdf_mask
+from .protection import GuardFunction, kdom_mask, wrdf_mask
 
 
 class LimitExceeded(RuntimeError):
@@ -146,50 +146,17 @@ def _gamma_value(g: Graph, counter: list[int]) -> int:
     return best
 
 
-def _all_dominating_masks(g: Graph, size: int, counter: list[int]) -> Iterator[int]:
-    """Every dominating set of exactly ``size`` vertices, each yielded once.
-
-    Duplicate-free by partitioning on the smallest chosen member of the lowest
-    uncovered vertex's closed neighborhood; once everything is covered the
-    remaining picks are free and filled by plain combinations.
-    """
-    if size < 0 or size > g.n:
-        return
-    full, closed = g.full_mask, g.closed
-    maxcov = _max_cover(g)
-
-    def rec(chosen: int, covered: int, avail: int, r: int) -> Iterator[int]:
-        counter[0] += 1
-        if covered == full:
-            if r == 0:
-                yield chosen
-            else:
-                pool = list(iter_bits(avail))
-                if len(pool) >= r:
-                    for extra in combinations(pool, r):
-                        m = chosen
-                        for b in extra:
-                            m |= 1 << b
-                        yield m
-            return
-        if r == 0:
-            return
-        unc = full & ~covered
-        if unc.bit_count() > r * maxcov:
-            return
-        u = (unc & -unc).bit_length() - 1
-        cur = avail
-        for x in iter_bits(closed[u] & avail):
-            bit = 1 << x
-            cur &= ~bit
-            yield from rec(chosen | bit, covered | closed[x], cur, r - 1)
-
-    yield from rec(0, 0, full, size)
-
-
 def _lex_dominating_masks(g: Graph, size: int, counter: list[int]) -> Iterator[int]:
     """Dominating sets of exactly ``size`` vertices in lexicographic order of
-    their sorted member tuples (include-first depth-first scan)."""
+    their sorted member tuples.
+
+    Each call fixes the next member ``j`` in ascending order, so the recursion
+    is at most ``size`` deep.  The loop stops at the first ``j`` past which
+    some uncovered vertex has no neighbor left, and a branch is cut when the
+    remaining picks cannot cover what is left (by count, or by a greedy
+    2-packing of uncovered vertices).  Once everything is covered the
+    remaining picks are free and filled by plain combinations.
+    """
     if size < 0 or size > g.n:
         return
     n, full, closed = g.n, g.full_mask, g.closed
@@ -197,20 +164,14 @@ def _lex_dominating_masks(g: Graph, size: int, counter: list[int]) -> Iterator[i
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | closed[i]
+    ball2 = [0] * n
+    for u in range(n):
+        for x in iter_bits(closed[u]):
+            ball2[u] |= closed[x]
 
     def rec(chosen: int, covered: int, i: int, r: int) -> Iterator[int]:
         counter[0] += 1
-        if r == 0:
-            if covered == full:
-                yield chosen
-            return
-        if n - i < r:
-            return
         unc = full & ~covered
-        if unc & ~suffix[i]:
-            return
-        if unc.bit_count() > r * maxcov:
-            return
         if not unc:
             for extra in combinations(range(i, n), r):
                 m = chosen
@@ -218,8 +179,20 @@ def _lex_dominating_masks(g: Graph, size: int, counter: list[int]) -> Iterator[i
                     m |= 1 << b
                 yield m
             return
-        yield from rec(chosen | (1 << i), covered | closed[i], i + 1, r - 1)
-        yield from rec(chosen, covered, i + 1, r)
+        if unc.bit_count() > r * maxcov:
+            return
+        # Uncovered vertices pairwise more than two apart need distinct picks.
+        rest = unc
+        for _ in range(r):
+            rest &= ~ball2[(rest & -rest).bit_length() - 1]
+            if not rest:
+                break
+        else:
+            return
+        for j in range(i, n - r + 1):
+            if unc & ~suffix[j]:
+                return
+            yield from rec(chosen | 1 << j, covered | closed[j], j + 1, r - 1)
 
     yield from rec(0, 0, 0, size)
 
@@ -260,94 +233,68 @@ def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveRes
     raise AssertionError("the whole vertex set is always k-dominating")
 
 
+def _lex_wrdf(g: Graph, weight: int, supports: range,
+              counter: list[int]) -> Optional[GuardFunction]:
+    """The first weak Roman function of ``weight`` in canonical order: support
+    size ascending over ``supports``, support lex, then two-guard set lex.
+
+    Every support is a dominating set, and its two-guard class takes the
+    remaining ``weight - size`` units.  Each candidate check is one node.
+    """
+    for size in supports:
+        for smask in _lex_dominating_masks(g, size, counter):
+            members = list(iter_bits(smask))
+            for dcombo in combinations(members, weight - size):
+                counter[0] += 1
+                twos = 0
+                for b in dcombo:
+                    twos |= 1 << b
+                if wrdf_mask(g, smask, twos):
+                    return GuardFunction.from_masks(g, smask, twos)
+    return None
+
+
 def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
-    """Secure domination number: dominating sets in cardinality order, secure check."""
+    """Secure domination number: a secure dominating set is a weak Roman
+    function with no two-guard vertex, so each size from gamma(g) up is one
+    scan with the support size pinned; the first hit is the lex-least witness."""
     _check(limits, "gamma_secure", g.n, "secure_max_n")
     counter = [0]
-    start = _gamma_value(g, counter)
-    for size in range(start, g.n + 1):
-        if any(secure_mask(g, m) for m in _all_dominating_masks(g, size, counter)):
-            for m in _lex_dominating_masks(g, size, counter):
-                counter[0] += 1
-                if secure_mask(g, m):
-                    return SolveResult("gamma_secure", size, VertexSet(m, g.n), counter[0])
+    for size in range(_gamma_value(g, counter), g.n + 1):
+        f = _lex_wrdf(g, size, range(size, size + 1), counter)
+        if f is not None:
+            return SolveResult("gamma_secure", size, VertexSet(f.support_mask, g.n), counter[0])
     raise AssertionError("the whole vertex set is always a secure dominating set")
 
 
 def gamma_weak_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Weak Roman domination number.
 
-    Candidate weights run from gamma(g) to 2*gamma(g) (the proven window); for
-    each weight, supports are dominating sets and the two-guard subset ranges
-    over the support.  The first feasible weight wins; its witness is recovered
-    in canonical order (support size ascending, support lex, two-set lex).
+    Candidate weights run from gamma(g) to 2*gamma(g) (the proven window); each
+    weight is one canonical scan over support sizes from max(ceil(weight/2),
+    gamma(g)) to weight.  The first weight with a hit wins, and that hit is the
+    witness (support size ascending, support lex, two-set lex).
     """
     _check(limits, "gamma_weak_roman", g.n, "weak_roman_max_n")
     counter = [0]
     gval = _gamma_value(g, counter)
     for weight in range(gval, 2 * gval + 1):
-        if _exists_wrdf_of_weight(g, weight, gval, counter):
-            witness = _lex_wrdf_of_weight(g, weight, gval, counter)
-            assert witness is not None
+        supports = range(max((weight + 1) // 2, gval), weight + 1)
+        witness = _lex_wrdf(g, weight, supports, counter)
+        if witness is not None:
             return SolveResult("gamma_weak_roman", weight, witness, counter[0])
     raise AssertionError("a weak Roman function of weight 2*gamma always exists")
-
-
-def _support_range(weight: int, gval: int) -> range:
-    return range(max((weight + 1) // 2, gval), weight + 1)
-
-
-def _exists_wrdf_of_weight(g: Graph, weight: int, gval: int, counter: list[int]) -> bool:
-    for s in _support_range(weight, gval):
-        doubles = weight - s
-        for smask in _all_dominating_masks(g, s, counter):
-            members = list(iter_bits(smask))
-            for dcombo in combinations(members, doubles):
-                counter[0] += 1
-                twos = 0
-                for b in dcombo:
-                    twos |= 1 << b
-                if wrdf_mask(g, smask, twos):
-                    return True
-    return False
-
-
-def _lex_wrdf_of_weight(g: Graph, weight: int, gval: int,
-                        counter: list[int]) -> Optional[GuardFunction]:
-    for s in _support_range(weight, gval):
-        doubles = weight - s
-        for smask in _lex_dominating_masks(g, s, counter):
-            members = list(iter_bits(smask))
-            for dcombo in combinations(members, doubles):
-                counter[0] += 1
-                twos = 0
-                for b in dcombo:
-                    twos |= 1 << b
-                if wrdf_mask(g, smask, twos):
-                    return GuardFunction.from_masks(g, smask, twos)
-    return None
 
 
 def weak_roman_function_with_reserve(g: Graph, limits: Optional[SolverLimits] = None
                                      ) -> Optional[GuardFunction]:
     """A minimum-weight weak Roman function holding two guards somewhere, or
-    None when every optimal function is guard-count {0,1} only."""
-    base = gamma_weak_roman(g, limits)
-    counter = [0]
-    gval = _gamma_value(g, counter)
-    for s in _support_range(base.value, gval):
-        doubles = base.value - s
-        if doubles == 0:
-            continue
-        for smask in _lex_dominating_masks(g, s, counter):
-            members = list(iter_bits(smask))
-            for dcombo in combinations(members, doubles):
-                twos = 0
-                for b in dcombo:
-                    twos |= 1 << b
-                if wrdf_mask(g, smask, twos):
-                    return GuardFunction.from_masks(g, smask, twos)
-    return None
+    None when every optimal function is guard-count {0,1} only.
+
+    The canonical weak Roman witness has the smallest feasible support, so it
+    holds a two-guard vertex exactly when some optimal function does."""
+    f = gamma_weak_roman(g, limits).witness
+    return f if f.two_mask else None
 
 
 def gamma_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:

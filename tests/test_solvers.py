@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -136,6 +137,24 @@ class TestGammaWeakRoman:
     def test_reserve_variant_absent_for_complete(self):
         # gamma_r(K_n) = 1: no optimal function can hold two guards
         assert weak_roman_function_with_reserve(complete(5)) is None
+
+    def test_reserve_variant_matches_brute_force(self, corpus_all_n6):
+        for g in corpus_all_n6:
+            value = gamma_weak_roman(g).value
+            expected = any(2 in vals and sum(vals) == value and oracles.naive_is_wrdf(g, vals)
+                           for vals in product((0, 1, 2), repeat=g.n))
+            assert (weak_roman_function_with_reserve(g) is not None) == expected
+
+    def test_witness_tie_break(self, fig1_tree, spider9):
+        cases = [
+            (fig1_tree, "2,0,1,0,0,0"),
+            (spider9, "2,0,1,0,0,0,0,0,0"),
+            (cycle(7), "1,0,1,0,1,0,0"),
+            (cartesian_product(path(3), path(3)), "1,1,0,0,0,1,1,0,0"),
+            (cartesian_product(cycle(5), complete(2)), "1,1,0,0,1,0,0,1,0,0"),
+        ]
+        for g, text in cases:
+            assert gamma_weak_roman(g).witness.to_text() == text
 
 
 class TestGammaSecure:
@@ -282,6 +301,18 @@ class TestLimits:
             solve(path(4), "nonsense")
 
 
+def test_nodes_explored_pinned(fig1_tree, spider9):
+    """Node counts are deterministic, so a change here is a change in the search."""
+    cases = [
+        (fig1_tree, (5, 44, 17)),
+        (spider9, (5, 284, 17)),
+        (cartesian_product(path(3), path(3)), (18, 85, 156)),
+        (cartesian_product(cycle(5), complete(2)), (15, 99, 195)),
+    ]
+    for g, nodes in cases:
+        assert tuple(f(g).nodes_explored for f in (gamma, gamma_secure, gamma_weak_roman)) == nodes
+
+
 # ---------------------------------------------------------------------------
 # Structural properties over random graphs, plus the full oracle equivalence.
 # ---------------------------------------------------------------------------
@@ -336,7 +367,10 @@ def test_oracle_equivalence_connected_n7(corpus_connected_n7):
         assert gamma_k(g, 2).value == oracles.brute_gamma_k(g, 2)[0]
         assert gamma_roman(g).value == oracles.brute_gamma_roman(g)[0]
         assert gamma_weak_roman(g).value == oracles.brute_gamma_weak_roman(g)[0]
-        assert gamma_secure(g).value == oracles.brute_gamma_secure(g)[0]
+        secure = gamma_secure(g)
+        value, members = oracles.brute_gamma_secure(g)
+        assert secure.value == value
+        assert secure.witness.members() == tuple(sorted(members))
         assert matching_number(g).value == oracles.brute_matching(g)[0]
         assert two_packing(g).value == oracles.brute_two_packing(g)[0]
         assert chromatic_number(g).value == oracles.brute_chromatic(g)
