@@ -18,26 +18,30 @@ from .graph import (Graph, component_is_complete, complement, has_hamiltonian_cy
                     is_connected, is_cycle_graph, iter_bits, leaf_count, max_degree,
                     min_degree)
 from .graph6 import write_graph6
-from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolverLimits, gamma_secure, solve,
-                      weak_roman_function_with_reserve)
+from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolveResult, SolverLimits, gamma_secure,
+                      solve)
 
 
 class InvariantCache:
-    """Lazily computed exact invariants for one graph under a solver budget."""
+    """Lazily computed exact invariants for one graph under a solver budget;
+    each invariant is solved at most once and its whole result is kept."""
 
     def __init__(self, g: Graph, limits: Optional[SolverLimits] = None):
         self.graph = g
         self.limits = limits or DEFAULT_LIMITS
-        self._values: dict[str, int] = {}
+        self._results: dict[str, SolveResult] = {}
         self._complement: Optional["InvariantCache"] = None
 
+    def result(self, key: str) -> SolveResult:
+        if key not in self._results:
+            self._results[key] = solve(self.graph, key, self.limits)
+        return self._results[key]
+
     def value(self, key: str) -> int:
-        if key not in self._values:
-            self._values[key] = solve(self.graph, key, self.limits).value
-        return self._values[key]
+        return self.result(key).value
 
     def computed_values(self) -> dict[str, int]:
-        return dict(self._values)
+        return {key: res.value for key, res in self._results.items()}
 
     @property
     def n(self) -> int:
@@ -425,8 +429,8 @@ def _make_registry() -> tuple[BoundSpec, ...]:
                      - 2 * pc["g"].value("gamma") * pc["h"].value("gamma")))
 
     def _reserve_bound(pc):
-        fn = pc.get("h_reserve_function")
-        _need(fn is not None,
+        fn = pc["h"].result("gamma_weak_roman").witness
+        _need(fn.two_mask != 0,
               "no optimal weak Roman function of the second factor holds two guards")
         h = pc["h"].graph
         reach = 0
@@ -497,17 +501,12 @@ def product_audit(g: Graph, h: Graph,
                   limits: Optional[SolverLimits] = None) -> BoundReport:
     """Evaluate the pair-scope (Cartesian product) bounds for factors g, h."""
     from .graph import cartesian_product
-    limits = limits or DEFAULT_LIMITS
     p = cartesian_product(g, h)
     pair_cache: dict = {
         "g": InvariantCache(g, limits),
         "h": InvariantCache(h, limits),
         "p": InvariantCache(p, limits),
     }
-    try:
-        pair_cache["h_reserve_function"] = weak_roman_function_with_reserve(h, limits)
-    except LimitExceeded:
-        pair_cache["h_reserve_function"] = None
     rows = []
     incomplete = False
     for spec in _REGISTRY:
@@ -606,19 +605,31 @@ def family_value(invariant: str, family: str, *params: int) -> int:
 # Nordhaus-Gaddum record and the prism conjecture scan.
 # ---------------------------------------------------------------------------
 
+# Registry rows behind the record's checks, mapped to their record keys.
+_NG_CHECKS = {
+    "ng_weak_roman_sum_le_secure_sum": "weak_roman_sum_le_secure_sum",
+    "ng_secure_sum_le_order_plus_one": "secure_sum_le_order_plus_one",
+    "ng_weak_roman_product_le_secure_product": "weak_roman_product_le_secure_product",
+    "ng_secure_product_le_order_bound": "secure_product_le_order_bound",
+    "ng_secure_sum_refined": "refined_secure_sum",
+    "ng_secure_product_refined": "refined_secure_product",
+}
+
+
 def nordhaus_gaddum(g: Graph, limits: Optional[SolverLimits] = None) -> dict:
     """Weak Roman / secure values on a graph and its complement with every
-    sum/product check, including the refined small-degree variant."""
+    sum/product check of the registry's ``ng_*`` rows, including the refined
+    small-degree variant."""
     cache = InvariantCache(g, limits)
     co = cache.co()
-    n = g.n
+    # solved up front so an over-budget graph raises LimitExceeded here
     wr, sec = cache.value("gamma_weak_roman"), cache.value("gamma_secure")
     wr_c, sec_c = co.value("gamma_weak_roman"), co.value("gamma_secure")
+    rows = {spec.id: _evaluate(spec, cache) for spec in _REGISTRY if spec.id in _NG_CHECKS}
     side = _refined_ng_side(cache)
-    refined_sum_bound = (n - 1 if n % 2 else n) if side else None
-    refined_product_bound = ((n - 1) ** 2 / 4 if n % 2 else n ** 2 / 4) if side else None
-    record = {
-        "n": n,
+    checks = {_NG_CHECKS[rid]: row.holds for rid, row in rows.items() if row.applicable}
+    return {
+        "n": g.n,
         "gamma_weak_roman": wr,
         "gamma_secure": sec,
         "gamma_weak_roman_complement": wr_c,
@@ -627,26 +638,15 @@ def nordhaus_gaddum(g: Graph, limits: Optional[SolverLimits] = None) -> dict:
         "sum_secure": sec + sec_c,
         "product_weak_roman": wr * wr_c,
         "product_secure": sec * sec_c,
-        "sum_bound": n + 1,
-        "product_bound": (n + 1) ** 2 / 4,
+        "sum_bound": rows["ng_secure_sum_le_order_plus_one"].claimed,
+        "product_bound": rows["ng_secure_product_le_order_bound"].claimed,
         "refined_applicable": side is not None,
         "refined_via": side,
-        "refined_sum_bound": refined_sum_bound,
-        "refined_product_bound": refined_product_bound,
-        "checks": {},
+        "refined_sum_bound": rows["ng_secure_sum_refined"].claimed,
+        "refined_product_bound": rows["ng_secure_product_refined"].claimed,
+        "checks": checks,
+        "pass": all(checks.values()),
     }
-    checks = {
-        "weak_roman_sum_le_secure_sum": wr + wr_c <= sec + sec_c,
-        "secure_sum_le_order_plus_one": sec + sec_c <= n + 1,
-        "weak_roman_product_le_secure_product": wr * wr_c <= sec * sec_c,
-        "secure_product_le_order_bound": 4 * sec * sec_c <= (n + 1) ** 2,
-    }
-    if side:
-        checks["refined_secure_sum"] = sec + sec_c <= refined_sum_bound
-        checks["refined_secure_product"] = sec * sec_c <= refined_product_bound
-    record["checks"] = checks
-    record["pass"] = all(checks.values())
-    return record
 
 
 def conjecture_scan(family: str, t_max: int,

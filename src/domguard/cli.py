@@ -22,6 +22,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import bounds as bounds_mod
@@ -358,8 +359,7 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _audit_one_line(line: str, limit_n: Optional[int]) -> dict:
-    limits = DEFAULT_LIMITS.scaled(limit_n) if limit_n else DEFAULT_LIMITS
+def _audit_one_line(line: str, limits: SolverLimits, limit_n: Optional[int]) -> dict:
     try:
         g = parse_graph6(line)
     except Graph6Error as exc:
@@ -376,13 +376,13 @@ def _cmd_audit(args) -> int:
     cfg = _config(args)
     if cfg.workers < 1:
         raise SpecError("--workers must be positive", 0)
+    audit_one = partial(_audit_one_line, limits=cfg.limits(), limit_n=cfg.limit_n)
     lines = _read_graph_lines(cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(_audit_one_line, lines,
-                                    [cfg.limit_n] * len(lines)))
+            reports = list(pool.map(audit_one, lines))
     else:
-        reports = [_audit_one_line(line, cfg.limit_n) for line in lines]
+        reports = [audit_one(line) for line in lines]
     violation = any(not rep.get("pass", True) for rep in reports if "bounds" in rep)
     bad_parse = any("error" in rep for rep in reports)
 

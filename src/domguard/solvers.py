@@ -95,72 +95,21 @@ def _check(limits: Optional[SolverLimits], invariant: str, n: int, limit_name: s
 # Dominating-set enumeration kernels.
 # ---------------------------------------------------------------------------
 
-def _max_cover(g: Graph) -> int:
-    return max((c.bit_count() for c in g.closed), default=1)
+def _lex_dominating_masks(g: Graph, sizes: range, counter: list[int]) -> Iterator[int]:
+    """Dominating sets with a size in ``sizes``: size ascending, then in
+    lexicographic order of their sorted member tuples.  The first set yielded
+    over ``range(g.n + 1)`` is the lex-least minimum dominating set.
 
-
-def _greedy_dominating_mask(g: Graph) -> int:
-    covered, chosen = 0, 0
-    full, closed = g.full_mask, g.closed
-    while covered != full:
-        best_v, best_gain = -1, -1
-        for v in range(g.n):
-            if chosen >> v & 1:
-                continue
-            gain = (closed[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_v = gain, v
-        chosen |= 1 << best_v
-        covered |= closed[best_v]
-    return chosen
-
-
-def _gamma_value(g: Graph, counter: list[int]) -> int:
-    """Minimum dominating set size: branch on the lowest uncovered vertex's
-    closed neighborhood, seeded with the greedy cover as incumbent."""
-    if g.n == 0:
-        return 0
-    full, closed = g.full_mask, g.closed
-    maxcov = _max_cover(g)
-    best = _greedy_dominating_mask(g).bit_count()
-
-    def rec(covered: int, size: int, avail: int) -> None:
-        nonlocal best
-        counter[0] += 1
-        if covered == full:
-            if size < best:
-                best = size
-            return
-        unc = full & ~covered
-        if size + -(-unc.bit_count() // maxcov) >= best:
-            return
-        u = (unc & -unc).bit_length() - 1
-        opts = closed[u] & avail
-        cur = avail
-        for x in iter_bits(opts):
-            bit = 1 << x
-            cur &= ~bit
-            rec(covered | closed[x], size + 1, cur)
-
-    rec(0, 0, full)
-    return best
-
-
-def _lex_dominating_masks(g: Graph, size: int, counter: list[int]) -> Iterator[int]:
-    """Dominating sets of exactly ``size`` vertices in lexicographic order of
-    their sorted member tuples.
-
-    Each call fixes the next member ``j`` in ascending order, so the recursion
-    is at most ``size`` deep.  The loop stops at the first ``j`` past which
-    some uncovered vertex has no neighbor left, and a branch is cut when the
-    remaining picks cannot cover what is left (by count, or by a greedy
-    2-packing of uncovered vertices).  Once everything is covered the
-    remaining picks are free and filled by plain combinations.
+    The pruning tables are built once per call.  Each search step fixes the
+    next member ``j`` in ascending order, so the recursion is at most ``size``
+    deep.  The loop stops at the first ``j`` past which some uncovered vertex
+    has no neighbor left, and a branch is cut when the remaining picks cannot
+    cover what is left (by count, or by a greedy 2-packing of uncovered
+    vertices).  Once everything is covered the remaining picks are free and
+    filled by plain combinations.
     """
-    if size < 0 or size > g.n:
-        return
     n, full, closed = g.n, g.full_mask, g.closed
-    maxcov = _max_cover(g)
+    maxcov = max((c.bit_count() for c in closed), default=1)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | closed[i]
@@ -194,7 +143,8 @@ def _lex_dominating_masks(g: Graph, size: int, counter: list[int]) -> Iterator[i
                 return
             yield from rec(chosen | 1 << j, covered | closed[j], j + 1, r - 1)
 
-    yield from rec(0, 0, 0, size)
+    for size in sizes:
+        yield from rec(0, 0, 0, size)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +155,8 @@ def gamma(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Domination number with the lexicographically least minimum dominating set."""
     _check(limits, "gamma", g.n, "domination_max_n")
     counter = [0]
-    value = _gamma_value(g, counter)
-    witness = next(_lex_dominating_masks(g, value, counter), 0)
-    return SolveResult("gamma", value, VertexSet(witness, g.n), counter[0])
+    witness = next(_lex_dominating_masks(g, range(g.n + 1), counter))
+    return SolveResult("gamma", witness.bit_count(), VertexSet(witness, g.n), counter[0])
 
 
 def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveResult:
@@ -238,32 +187,35 @@ def _lex_wrdf(g: Graph, weight: int, supports: range,
     """The first weak Roman function of ``weight`` in canonical order: support
     size ascending over ``supports``, support lex, then two-guard set lex.
 
-    Every support is a dominating set, and its two-guard class takes the
-    remaining ``weight - size`` units.  Each candidate check is one node.
+    One enumerator call walks every support size, and the two-guard class of
+    each support takes the remaining ``weight - size`` units.  Each candidate
+    check is one node.
     """
-    for size in supports:
-        for smask in _lex_dominating_masks(g, size, counter):
-            members = list(iter_bits(smask))
-            for dcombo in combinations(members, weight - size):
-                counter[0] += 1
-                twos = 0
-                for b in dcombo:
-                    twos |= 1 << b
-                if wrdf_mask(g, smask, twos):
-                    return GuardFunction.from_masks(g, smask, twos)
+    for smask in _lex_dominating_masks(g, supports, counter):
+        members = list(iter_bits(smask))
+        for dcombo in combinations(members, weight - smask.bit_count()):
+            counter[0] += 1
+            twos = 0
+            for b in dcombo:
+                twos |= 1 << b
+            if wrdf_mask(g, smask, twos):
+                return GuardFunction.from_masks(g, smask, twos)
     return None
 
 
 def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Secure domination number: a secure dominating set is a weak Roman
-    function with no two-guard vertex, so each size from gamma(g) up is one
-    scan with the support size pinned; the first hit is the lex-least witness."""
+    function with no two-guard vertex, so one pass over the dominating sets
+    in canonical order (size ascending, then lex) checks each as a support
+    with an empty two-guard class.  Each check is one node, and the first hit
+    is the lex-least minimum secure dominating set."""
     _check(limits, "gamma_secure", g.n, "secure_max_n")
     counter = [0]
-    for size in range(_gamma_value(g, counter), g.n + 1):
-        f = _lex_wrdf(g, size, range(size, size + 1), counter)
-        if f is not None:
-            return SolveResult("gamma_secure", size, VertexSet(f.support_mask, g.n), counter[0])
+    for smask in _lex_dominating_masks(g, range(g.n + 1), counter):
+        counter[0] += 1
+        if wrdf_mask(g, smask, 0):
+            return SolveResult("gamma_secure", smask.bit_count(), VertexSet(smask, g.n),
+                               counter[0])
     raise AssertionError("the whole vertex set is always a secure dominating set")
 
 
@@ -273,28 +225,19 @@ def gamma_weak_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     Candidate weights run from gamma(g) to 2*gamma(g) (the proven window); each
     weight is one canonical scan over support sizes from max(ceil(weight/2),
     gamma(g)) to weight.  The first weight with a hit wins, and that hit is the
-    witness (support size ascending, support lex, two-set lex).
+    witness (support size ascending, support lex, two-set lex).  The witness
+    holds a two-guard vertex exactly when some optimal function does, because
+    it has the smallest feasible support.
     """
     _check(limits, "gamma_weak_roman", g.n, "weak_roman_max_n")
     counter = [0]
-    gval = _gamma_value(g, counter)
+    gval = next(_lex_dominating_masks(g, range(g.n + 1), counter)).bit_count()
     for weight in range(gval, 2 * gval + 1):
         supports = range(max((weight + 1) // 2, gval), weight + 1)
         witness = _lex_wrdf(g, weight, supports, counter)
         if witness is not None:
             return SolveResult("gamma_weak_roman", weight, witness, counter[0])
     raise AssertionError("a weak Roman function of weight 2*gamma always exists")
-
-
-def weak_roman_function_with_reserve(g: Graph, limits: Optional[SolverLimits] = None
-                                     ) -> Optional[GuardFunction]:
-    """A minimum-weight weak Roman function holding two guards somewhere, or
-    None when every optimal function is guard-count {0,1} only.
-
-    The canonical weak Roman witness has the smallest feasible support, so it
-    holds a two-guard vertex exactly when some optimal function does."""
-    f = gamma_weak_roman(g, limits).witness
-    return f if f.two_mask else None
 
 
 def gamma_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
@@ -495,8 +438,8 @@ def enumerate_gamma_sets(g: Graph, limits: Optional[SolverLimits] = None) -> lis
     """All minimum dominating sets, in ascending (lexicographic) order."""
     _check(limits, "gamma_sets", g.n, "gamma_sets_max_n")
     counter = [0]
-    value = _gamma_value(g, counter)
-    return [VertexSet(m, g.n) for m in _lex_dominating_masks(g, value, counter)]
+    gval = next(_lex_dominating_masks(g, range(g.n + 1), counter)).bit_count()
+    return [VertexSet(m, g.n) for m in _lex_dominating_masks(g, range(gval, gval + 1), counter)]
 
 
 def twin_classes(g: Graph) -> list[int]:
@@ -521,10 +464,10 @@ def tau(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     maximizing set (lexicographically least on ties)."""
     _check(limits, "tau", g.n, "gamma_sets_max_n")
     counter = [0]
-    value = _gamma_value(g, counter)
+    gval = next(_lex_dominating_masks(g, range(g.n + 1), counter)).bit_count()
     best = -1
     best_mask = 0
-    for m in _lex_dominating_masks(g, value, counter):
+    for m in _lex_dominating_masks(g, range(gval, gval + 1), counter):
         size = twin_shadow_mask(g, m).bit_count()
         if size > best:
             best = size

@@ -259,6 +259,25 @@ class TestProductAudit:
         row = rows_by_id(rep)["cartesian_weak_roman_le_reserve"]
         assert not row.applicable
 
+    def test_reserve_row_over_budget_reports_the_budget(self):
+        # the second factor is never solved, so no claim about its optima holds
+        rep = product_audit(path(2), path(5), SolverLimits(weak_roman_max_n=4))
+        row = rows_by_id(rep)["cartesian_weak_roman_le_reserve"]
+        assert not row.applicable and row.reason.startswith("budget:")
+        assert rep.incomplete
+
+    def test_second_factor_weak_roman_solved_once(self, monkeypatch):
+        from domguard import solvers
+        orders = []
+        real = solvers.gamma_weak_roman
+
+        def counting(g, limits=None):
+            orders.append(g.n)
+            return real(g, limits)
+        monkeypatch.setattr(solvers, "gamma_weak_roman", counting)
+        product_audit(path(3), cycle(4))
+        assert orders == [12, 4, 3]
+
     def test_random_pairs_pass(self):
         rng = random.Random(41)
         done = 0

@@ -241,6 +241,11 @@ class TestAudit:
         assert code == EXIT_OK
         assert "skipped" in data[0] and data[1]["pass"] is True
 
+    def test_nonpositive_limit_is_usage_error(self):
+        for bad in ("0", "-1"):
+            code, out, err = run(["audit", "--family", "cycle:5", "--limit-n", bad])
+            assert code == EXIT_USAGE and out == "" and "--limit-n" in err
+
     def test_violation_exit_two(self, monkeypatch):
         # no true bound can fail, so force a deliberately false registry entry
         from domguard.bounds import BoundSpec

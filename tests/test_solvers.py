@@ -12,8 +12,7 @@ from domguard.protection import (GuardFunction, is_df, is_k_dominating, is_rdf,
 from domguard.solvers import (LimitExceeded, SolverLimits, chromatic_number,
                               clique_cover, enumerate_gamma_sets, gamma, gamma_k,
                               gamma_roman, gamma_secure, gamma_weak_roman,
-                              matching_number, solve, tau, two_packing,
-                              weak_roman_function_with_reserve)
+                              matching_number, solve, tau, two_packing)
 
 from conftest import random_graph
 
@@ -129,21 +128,21 @@ class TestGammaWeakRoman:
             assert is_wrdf(g, res.witness) and res.witness.weight() == res.value
 
     def test_reserve_variant(self, spider9):
-        f = weak_roman_function_with_reserve(spider9)
-        assert f is not None
+        f = gamma_weak_roman(spider9).witness
+        assert f.two_mask != 0
         assert f.weight() == gamma_weak_roman(spider9).value == 3
         assert f.two_mask != 0 and is_wrdf(spider9, f)
 
     def test_reserve_variant_absent_for_complete(self):
         # gamma_r(K_n) = 1: no optimal function can hold two guards
-        assert weak_roman_function_with_reserve(complete(5)) is None
+        assert gamma_weak_roman(complete(5)).witness.two_mask == 0
 
     def test_reserve_variant_matches_brute_force(self, corpus_all_n6):
         for g in corpus_all_n6:
-            value = gamma_weak_roman(g).value
-            expected = any(2 in vals and sum(vals) == value and oracles.naive_is_wrdf(g, vals)
+            res = gamma_weak_roman(g)
+            expected = any(2 in vals and sum(vals) == res.value and oracles.naive_is_wrdf(g, vals)
                            for vals in product((0, 1, 2), repeat=g.n))
-            assert (weak_roman_function_with_reserve(g) is not None) == expected
+            assert (res.witness.two_mask != 0) == expected
 
     def test_witness_tie_break(self, fig1_tree, spider9):
         cases = [
@@ -304,10 +303,10 @@ class TestLimits:
 def test_nodes_explored_pinned(fig1_tree, spider9):
     """Node counts are deterministic, so a change here is a change in the search."""
     cases = [
-        (fig1_tree, (5, 44, 17)),
-        (spider9, (5, 284, 17)),
-        (cartesian_product(path(3), path(3)), (18, 85, 156)),
-        (cartesian_product(cycle(5), complete(2)), (15, 99, 195)),
+        (fig1_tree, (6, 45, 22)),
+        (spider9, (6, 285, 22)),
+        (cartesian_product(path(3), path(3)), (16, 83, 163)),
+        (cartesian_product(cycle(5), complete(2)), (17, 101, 211)),
     ]
     for g, nodes in cases:
         assert tuple(f(g).nodes_explored for f in (gamma, gamma_secure, gamma_weak_roman)) == nodes
@@ -363,7 +362,10 @@ def test_packing_matching_and_secure_relations():
 def test_oracle_equivalence_connected_n7(corpus_connected_n7):
     """Branch-and-bound values equal plain enumeration for every invariant."""
     for g in corpus_connected_n7:
-        assert gamma(g).value == oracles.brute_gamma(g)[0]
+        dom = gamma(g)
+        value, members = oracles.brute_gamma(g)
+        assert dom.value == value
+        assert dom.witness.members() == tuple(sorted(members))
         assert gamma_k(g, 2).value == oracles.brute_gamma_k(g, 2)[0]
         assert gamma_roman(g).value == oracles.brute_gamma_roman(g)[0]
         assert gamma_weak_roman(g).value == oracles.brute_gamma_weak_roman(g)[0]
@@ -375,6 +377,9 @@ def test_oracle_equivalence_connected_n7(corpus_connected_n7):
         assert two_packing(g).value == oracles.brute_two_packing(g)[0]
         assert chromatic_number(g).value == oracles.brute_chromatic(g)
         assert clique_cover(g).value == oracles.brute_clique_cover(g)
-        assert tau(g).value == oracles.brute_tau(g)[0]
-        mine = {s.members() for s in enumerate_gamma_sets(g)}
-        assert mine == {tuple(sorted(s)) for s in oracles.brute_gamma_sets(g)}
+        twins = tau(g)
+        value, members = oracles.brute_tau(g)
+        assert twins.value == value
+        assert twins.witness.members() == tuple(sorted(members))
+        mine = [s.members() for s in enumerate_gamma_sets(g)]
+        assert mine == [tuple(sorted(s)) for s in oracles.brute_gamma_sets(g)]
