@@ -20,6 +20,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -360,16 +361,22 @@ def _cmd_construct(args) -> int:
 
 
 def _audit_one_line(line: str, limits: SolverLimits, limit_n: Optional[int]) -> dict:
+    """One graph's audit report.  Any failure is confined to this graph's row:
+    a parse error or an unexpected exception becomes an ``error`` row (the
+    latter with its traceback on stderr) and a solver limit a ``skipped`` row,
+    so the rest of the batch still runs."""
     try:
         g = parse_graph6(line)
+        if limit_n is not None and g.n > limit_n:
+            return {"graph6": line, "skipped": f"order {g.n} above --limit-n {limit_n}"}
+        return bounds_mod.audit(g, limits).to_json_dict()
     except Graph6Error as exc:
         return {"graph6": line, "error": str(exc)}
-    if limit_n is not None and g.n > limit_n:
-        return {"graph6": line, "skipped": f"order {g.n} above --limit-n {limit_n}"}
-    try:
-        return bounds_mod.audit(g, limits).to_json_dict()
     except LimitExceeded as exc:
         return {"graph6": line, "skipped": str(exc)}
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        return {"graph6": line, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _cmd_audit(args) -> int:
@@ -384,13 +391,13 @@ def _cmd_audit(args) -> int:
     else:
         reports = [audit_one(line) for line in lines]
     violation = any(not rep.get("pass", True) for rep in reports if "bounds" in rep)
-    bad_parse = any("error" in rep for rep in reports)
+    failed = any("error" in rep for rep in reports)
 
     def render(payload) -> str:
         lines_out = []
         for rep in payload:
             if "error" in rep:
-                lines_out.append(f"{rep['graph6']}: PARSE ERROR {rep['error']}")
+                lines_out.append(f"{rep['graph6']}: ERROR {rep['error']}")
             elif "skipped" in rep:
                 lines_out.append(f"{rep['graph6']}: skipped ({rep['skipped']})")
             else:
@@ -405,7 +412,7 @@ def _cmd_audit(args) -> int:
         return "\n".join(lines_out) + "\n"
 
     _emit(reports, cfg.fmt, render)
-    if bad_parse:
+    if failed:
         return EXIT_IO
     return EXIT_BOUND_VIOLATION if violation else EXIT_OK
 

@@ -11,14 +11,17 @@ verifiers implement, definitionally:
 * secure dominating set (``is_secure_dominating``): the all-ones special case,
 * k-dominating set (``is_k_dominating``).
 
-The mask-level kernels (``dominates_mask`` etc.) are the hot path shared with
-the exact solvers; they take raw bitmasks and avoid object overhead.
+The mask-level kernels take raw bitmasks and avoid object overhead.  The
+slide kernel ``unsafe_zeros`` is the hot path shared with the exact solvers:
+for a dominating support it yields, once per support, the guard masks of the
+0-vertices that no lone guard can defend, so weak Roman and secure checks
+reduce to hitting those masks with the two-guard class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, GraphError, VertexSet, iter_bits
 
@@ -146,32 +149,50 @@ def dominates_mask(g: Graph, mask: int) -> bool:
     return coverage_mask(g, mask) == g.full_mask
 
 
-def wrdf_mask(g: Graph, support: int, twos: int) -> bool:
-    """Weak-Roman check on the (support, two-guard) mask pair.
+def unsafe_zeros(g: Graph, support: int) -> Iterator[int]:
+    """For a dominating ``support``, yield ``adj[v] & support`` for each
+    0-vertex v, in vertex order, that no lone guard can slide onto safely.
 
-    After ruling out undefended vertices, a slide u -> v with one guard at u
-    is safe iff every vertex covered solely by u is also covered by v; slides
-    from a two-guard vertex are always safe because u stays guarded.
+    A slide u -> v is safe iff every vertex covered only by u is also in
+    N[v].  A guard sliding off a two-guard vertex leaves that vertex guarded,
+    so a two-guard class makes the function weak Roman iff it meets every
+    yielded mask, and the support is secure iff nothing is yielded.
     """
-    closed = g.closed
-    full = g.full_mask
-    if coverage_mask(g, support) != full:
-        return False
-    singles = 0
-    for z in range(g.n):
-        if (closed[z] & support).bit_count() == 1:
-            singles |= 1 << z
-    adj = g.adj
-    for v in iter_bits(full & ~support):
-        closed_v = closed[v]
-        for u in iter_bits(adj[v] & support):
-            if twos >> u & 1:
+    # The bit loops are inlined rather than using iter_bits: this is the
+    # innermost step of the weak Roman and secure searches.
+    closed, adj = g.closed, g.adj
+    once = twice = 0
+    m = support
+    while m:
+        low = m & -m
+        c = closed[low.bit_length() - 1]
+        twice |= once & c
+        once |= c
+        m ^= low
+    singles = once & ~twice
+    zeros = g.full_mask & ~support
+    while zeros:
+        low = zeros & -zeros
+        zeros ^= low
+        v = low.bit_length() - 1
+        exposed = singles & ~closed[v]
+        guards = adj[v] & support
+        m = guards
+        while m:
+            lu = m & -m
+            if not exposed & closed[lu.bit_length() - 1]:
                 break
-            if singles & closed[u] & ~closed_v == 0:
-                break
+            m ^= lu
         else:
-            return False
-    return True
+            yield guards
+
+
+def wrdf_mask(g: Graph, support: int, twos: int) -> bool:
+    """Weak-Roman check on the (support, two-guard) mask pair: the support
+    dominates, and ``twos`` meets every mask yielded by ``unsafe_zeros``."""
+    if coverage_mask(g, support) != g.full_mask:
+        return False
+    return all(guards & twos for guards in unsafe_zeros(g, support))
 
 
 def secure_mask(g: Graph, mask: int) -> bool:

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .graph import Graph, VertexSet, complement, iter_bits
-from .protection import GuardFunction, kdom_mask, wrdf_mask
+from .protection import GuardFunction, kdom_mask, unsafe_zeros
 
 
 class LimitExceeded(RuntimeError):
@@ -188,17 +188,20 @@ def _lex_wrdf(g: Graph, weight: int, supports: range,
     size ascending over ``supports``, support lex, then two-guard set lex.
 
     One enumerator call walks every support size, and the two-guard class of
-    each support takes the remaining ``weight - size`` units.  Each candidate
-    check is one node.
+    each support takes the remaining ``weight - size`` units.  The slide
+    analysis (``unsafe_zeros``) runs once per support; each candidate
+    two-guard class is one node and passes iff it meets every unsafe mask.
+    The enumerator only yields dominating supports.
     """
     for smask in _lex_dominating_masks(g, supports, counter):
+        unsafe = list(unsafe_zeros(g, smask))
         members = list(iter_bits(smask))
         for dcombo in combinations(members, weight - smask.bit_count()):
             counter[0] += 1
             twos = 0
             for b in dcombo:
                 twos |= 1 << b
-            if wrdf_mask(g, smask, twos):
+            if all(twos & guards for guards in unsafe):
                 return GuardFunction.from_masks(g, smask, twos)
     return None
 
@@ -207,13 +210,14 @@ def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult
     """Secure domination number: a secure dominating set is a weak Roman
     function with no two-guard vertex, so one pass over the dominating sets
     in canonical order (size ascending, then lex) checks each as a support
-    with an empty two-guard class.  Each check is one node, and the first hit
-    is the lex-least minimum secure dominating set."""
+    with an empty two-guard class.  The slide analysis runs once per support
+    and stops at the first 0-vertex no guard can defend.  Each support is one
+    node, and the first hit is the lex-least minimum secure dominating set."""
     _check(limits, "gamma_secure", g.n, "secure_max_n")
     counter = [0]
     for smask in _lex_dominating_masks(g, range(g.n + 1), counter):
         counter[0] += 1
-        if wrdf_mask(g, smask, 0):
+        if next(unsafe_zeros(g, smask), None) is None:
             return SolveResult("gamma_secure", smask.bit_count(), VertexSet(smask, g.n),
                                counter[0])
     raise AssertionError("the whole vertex set is always a secure dominating set")

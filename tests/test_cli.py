@@ -261,6 +261,26 @@ class TestAudit:
         code, out, _ = run(["audit", "--format", "json"], "@\n\x7f\x7f\n")
         assert code == EXIT_IO
 
+    def test_unexpected_error_is_confined_to_its_graph(self, monkeypatch):
+        lines = [write_graph6(cycle(t)) for t in (3, 4, 5)]
+        real_audit = bounds_mod.audit
+
+        def flaky_audit(g, limits=None):
+            if g.n == 4:
+                raise RuntimeError("boom")
+            return real_audit(g, limits)
+
+        monkeypatch.setattr(bounds_mod, "audit", flaky_audit)
+        code, out, err = run(["audit", "--format", "json"], "\n".join(lines) + "\n")
+        data = json.loads(out)
+        assert code == EXIT_IO and "RuntimeError: boom" in err
+        assert [rep["graph6"] for rep in data] == lines
+        assert data[0]["pass"] is True and data[2]["pass"] is True
+        assert data[1]["error"] == "RuntimeError: boom"
+        code, out, _ = run(["audit"], "\n".join(lines) + "\n")
+        assert code == EXIT_IO
+        assert f"{lines[1]}: ERROR RuntimeError: boom" in out.splitlines()
+
     def test_workers_preserve_order(self):
         lines = [write_graph6(cycle(t)) for t in (3, 4, 5, 6)]
         code, out, _ = run(["audit", "--workers", "2", "--format", "json"],
@@ -325,6 +345,17 @@ def test_console_entry_point_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert parse_graph6(proc.stdout.strip()) == path(4)
+
+
+def test_package_runs_as_module_from_checkout():
+    import os
+    import pathlib
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "domguard", "solve", "--family", "path:4",
+                           "--invariants", "gamma"], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_usage_error_exit_code_subprocess():

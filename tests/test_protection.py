@@ -8,7 +8,8 @@ from domguard import oracles
 from domguard.graph import Graph, VertexSet, complete, cycle, empty, path, star
 from domguard.protection import (GuardFunction, ProtectionError, defense_moves,
                                  first_failing_vertex, is_df, is_k_dominating, is_rdf,
-                                 is_secure_dominating, is_wrdf, undefended)
+                                 is_secure_dominating, is_wrdf, undefended,
+                                 unsafe_zeros)
 
 from conftest import random_graph
 
@@ -164,6 +165,30 @@ def test_verifiers_agree_with_oracles_larger_orders():
         s = VertexSet.from_indices(members, n)
         assert is_wrdf(g, f) == oracles.naive_is_wrdf(g, vals)
         assert is_secure_dominating(g, s) == oracles.naive_is_secure(g, members)
+
+
+def test_unsafe_zeros_agrees_with_oracles_all_n6(corpus_all_n6):
+    """Every dominating support S of every graph with n <= 6 and every
+    two-guard class T within S: S is secure iff the kernel yields nothing,
+    and (S, T) is weak Roman iff T meets every yielded mask."""
+    pairs = 0
+    for g in corpus_all_n6:
+        for smask in range(1 << g.n):
+            members = {v for v in range(g.n) if smask >> v & 1}
+            if not oracles.naive_is_df(g, members):
+                continue
+            unsafe = list(unsafe_zeros(g, smask))
+            assert all(guards & ~smask == 0 for guards in unsafe)
+            assert (next(unsafe_zeros(g, smask), None) is None) == oracles.naive_is_secure(g, members)
+            twos = smask
+            while True:
+                vals = [2 if twos >> v & 1 else (1 if v in members else 0) for v in range(g.n)]
+                assert all(guards & twos for guards in unsafe) == oracles.naive_is_wrdf(g, vals)
+                pairs += 1
+                if not twos:
+                    break
+                twos = (twos - 1) & smask
+    assert pairs == 96186
 
 
 def test_secure_is_wrdf_with_no_two_guard_class():
