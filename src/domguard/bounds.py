@@ -649,16 +649,19 @@ def nordhaus_gaddum(g: Graph, limits: Optional[SolverLimits] = None) -> dict:
     }
 
 
+# The first order t of each conjecture family (P_2 x K_2, C_3 x K_2).
+CONJECTURE_T_MIN = {"path_x_k2": 2, "cycle_x_k2": 3}
+
+
 def conjecture_scan(family: str, t_max: int,
                     limits: Optional[SolverLimits] = None) -> list[dict]:
     """Exact secure domination of prisms over paths/cycles versus the
     conjectured closed forms.  Mismatches are reported, never asserted."""
     from .graph import cartesian_product, complete, cycle, path
-    if family not in ("path_x_k2", "cycle_x_k2"):
+    if family not in CONJECTURE_T_MIN:
         raise ValueError(f"unknown conjecture family {family!r}")
-    t_min = 2 if family == "path_x_k2" else 3
     rows = []
-    for t in range(t_min, t_max + 1):
+    for t in range(CONJECTURE_T_MIN[family], t_max + 1):
         base = path(t) if family == "path_x_k2" else cycle(t)
         product = cartesian_product(base, complete(2))
         exact = gamma_secure(product, limits).value

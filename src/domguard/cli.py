@@ -440,6 +440,9 @@ def _cmd_ng(args) -> int:
 def _cmd_conjecture(args) -> int:
     cfg = _config(args)
     family = {"path": "path_x_k2", "cycle": "cycle_x_k2"}[args.family]
+    t_min = bounds_mod.CONJECTURE_T_MIN[family]
+    if args.t_max < t_min:
+        raise SpecError(f"--t-max must be at least {t_min} for --family {args.family}", 0)
     rows = bounds_mod.conjecture_scan(family, args.t_max, cfg.limits())
     payload = {"family": family, "rows": rows}
 

@@ -7,6 +7,16 @@ explored so that the reported witness is the lexicographically least optimum
 (for guard functions: minimal support in set order, then minimal two-guard
 set, at the smallest feasible support size).
 
+Domination, secure and weak Roman domination, tau and the gamma-set list all
+come from one lex-ordered dominating-set search (``_lex_dominating_masks``),
+whose per-graph tables each solver builds once.  A node of that search is a
+partial set; every node it pops counts once in ``nodes_explored``.  For the
+secure and weak Roman solvers the search also cuts a partial set once its
+0-vertices with final guards that no lone guard can ever defend need more
+two-guard vertices than the set may hold.  The cut only drops sets that no
+allowed two-guard class makes weak Roman, so values and witnesses are those
+of the uncut search.
+
 Size limits are configuration (SolverLimits), not constants; exceeding one
 raises LimitExceeded so audit drivers can mark results incomplete instead of
 hanging.
@@ -16,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import Graph, VertexSet, complement, iter_bits
 from .protection import GuardFunction, kdom_mask, unsafe_zeros
@@ -95,56 +105,129 @@ def _check(limits: Optional[SolverLimits], invariant: str, n: int, limit_name: s
 # Dominating-set enumeration kernels.
 # ---------------------------------------------------------------------------
 
-def _lex_dominating_masks(g: Graph, sizes: range, counter: list[int]) -> Iterator[int]:
+class _SearchTables:
+    """Per-graph tables of the dominating-set search.  They depend only on
+    the graph, so a solver builds them once and reuses them for every size
+    range it enumerates.
+
+    ``suffix[i]`` holds the vertices that some pick at index >= i can still
+    cover.  Its complement holds the vertices whose closed neighborhood lies
+    wholly below ``i``: once the search has passed ``i`` their guards are
+    final.  ``ball2[u]`` holds the vertices within distance two of ``u``.
+    """
+
+    __slots__ = ("g", "maxcov", "suffix", "ball2")
+
+    def __init__(self, g: Graph):
+        n, closed = g.n, g.closed
+        self.g = g
+        self.maxcov = max((c.bit_count() for c in closed), default=1)
+        self.suffix = suffix = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | closed[i]
+        self.ball2 = ball2 = [0] * n
+        for u in range(n):
+            for x in iter_bits(closed[u]):
+                ball2[u] |= closed[x]
+
+
+def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
+                          allowance: Optional[Callable[[int], int]] = None) -> Iterator[int]:
     """Dominating sets with a size in ``sizes``: size ascending, then in
     lexicographic order of their sorted member tuples.  The first set yielded
     over ``range(g.n + 1)`` is the lex-least minimum dominating set.
 
-    The pruning tables are built once per call.  Each search step fixes the
-    next member ``j`` in ascending order, so the recursion is at most ``size``
-    deep.  The loop stops at the first ``j`` past which some uncovered vertex
-    has no neighbor left, and a branch is cut when the remaining picks cannot
-    cover what is left (by count, or by a greedy 2-packing of uncovered
-    vertices).  Once everything is covered the remaining picks are free and
-    filled by plain combinations.
+    A node is a partial set: the members chosen so far, all below the next
+    index ``i``, with ``r`` picks left.  Every node popped from the search's
+    one explicit stack counts once in ``counter``, cut or not.  Its children
+    fix the next member ``j >= i`` and are popped in ascending ``j``, up to
+    the first ``j`` past which some uncovered vertex has no neighbor left.  A
+    node is cut when the remaining picks cannot cover what is left (by count,
+    or by a greedy 2-packing of uncovered vertices).  Once everything is
+    covered the remaining picks are free and filled by plain combinations.
+
+    ``allowance(size)``, when given, is the number k of two-guard vertices a
+    set of that size may hold, and turns on the protection cut.  A 0-vertex
+    v whose closed neighborhood lies below ``i`` is fixed: its guards are
+    final, N(v) ∩ chosen.  A vertex covered once so far that no pick at
+    ``i`` or later can reach stays private to its guard in every completion,
+    because private sets only shrink as members are added.  If every guard
+    of v has such a private vertex outside N[v], no lone guard can ever
+    slide onto v safely, so every completion needs a two-guard vertex in
+    N(v) ∩ chosen.  The node is cut when more than k of these guard sets,
+    gathered along its path, are pairwise disjoint (for k = 0, when there is
+    one).  Each node checks only the vertices fixed since its parent.  The
+    cut drops no set that some two-guard class of size k makes weak Roman,
+    and the sets it keeps stay in order, so a solver's first hit is
+    unchanged.
     """
-    n, full, closed = g.n, g.full_mask, g.closed
-    maxcov = max((c.bit_count() for c in closed), default=1)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | closed[i]
-    ball2 = [0] * n
-    for u in range(n):
-        for x in iter_bits(closed[u]):
-            ball2[u] |= closed[x]
-
-    def rec(chosen: int, covered: int, i: int, r: int) -> Iterator[int]:
-        counter[0] += 1
-        unc = full & ~covered
-        if not unc:
-            for extra in combinations(range(i, n), r):
-                m = chosen
-                for b in extra:
-                    m |= 1 << b
-                yield m
-            return
-        if unc.bit_count() > r * maxcov:
-            return
-        # Uncovered vertices pairwise more than two apart need distinct picks.
-        rest = unc
-        for _ in range(r):
-            rest &= ~ball2[(rest & -rest).bit_length() - 1]
-            if not rest:
-                break
-        else:
-            return
-        for j in range(i, n - r + 1):
-            if unc & ~suffix[j]:
-                return
-            yield from rec(chosen | 1 << j, covered | closed[j], j + 1, r - 1)
-
+    n, full, closed, adj = t.g.n, t.g.full_mask, t.g.closed, t.g.adj
+    maxcov, suffix, ball2 = t.maxcov, t.suffix, t.ball2
     for size in sizes:
-        yield from rec(0, 0, 0, size)
+        k = None if allowance is None else allowance(size)
+        # (chosen, covered, covered twice, next index, picks left, the
+        # parent's next index, union and count of disjoint required sets)
+        stack = [(0, 0, 0, 0, size, 0, 0, 0)]
+        push = stack.append
+        while stack:
+            chosen, covered, twice, i, r, parent_i, used, hits = stack.pop()
+            counter[0] += 1
+            unc = full & ~covered
+            if unc:
+                if unc.bit_count() > r * maxcov:
+                    continue
+                # Uncovered vertices pairwise more than two apart need distinct picks.
+                rest = unc
+                for _ in range(r):
+                    rest &= ~ball2[(rest & -rest).bit_length() - 1]
+                    if not rest:
+                        break
+                else:
+                    continue
+            if k is not None:
+                fresh = suffix[parent_i] & ~suffix[i] & ~chosen
+                # Vertices covered once that no later pick can reach.
+                private = covered & ~twice & ~suffix[i]
+                while fresh and private:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    v = low.bit_length() - 1
+                    exposed = private & ~closed[v]
+                    guards = m = adj[v] & chosen
+                    while m:
+                        low = m & -m
+                        if not exposed & closed[low.bit_length() - 1]:
+                            break
+                        m ^= low
+                    else:
+                        if not guards & used:
+                            used |= guards
+                            hits += 1
+                            if hits > k:
+                                break
+                if hits > k:
+                    continue
+            if not unc:
+                for extra in combinations(range(i, n), r):
+                    m = chosen
+                    for b in extra:
+                        m |= 1 << b
+                    yield m
+                continue
+            # The children are the picks j >= i up to the first j past which
+            # some uncovered vertex has no neighbor left; push them so that
+            # the lowest j is popped first.
+            end = i
+            while end <= n - r and not unc & ~suffix[end]:
+                end += 1
+            for j in range(end - 1, i - 1, -1):
+                push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
+                      j + 1, r - 1, i, used, hits))
+
+
+def _domination_number(t: _SearchTables, counter: list[int]) -> int:
+    """γ(g): the size of the first dominating set of the lex-ordered search."""
+    return next(_lex_dominating_masks(t, range(t.g.n + 1), counter)).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +238,7 @@ def gamma(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Domination number with the lexicographically least minimum dominating set."""
     _check(limits, "gamma", g.n, "domination_max_n")
     counter = [0]
-    witness = next(_lex_dominating_masks(g, range(g.n + 1), counter))
+    witness = next(_lex_dominating_masks(_SearchTables(g), range(g.n + 1), counter))
     return SolveResult("gamma", witness.bit_count(), VertexSet(witness, g.n), counter[0])
 
 
@@ -182,7 +265,7 @@ def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveRes
     raise AssertionError("the whole vertex set is always k-dominating")
 
 
-def _lex_wrdf(g: Graph, weight: int, supports: range,
+def _lex_wrdf(t: _SearchTables, weight: int, supports: range,
               counter: list[int]) -> Optional[GuardFunction]:
     """The first weak Roman function of ``weight`` in canonical order: support
     size ascending over ``supports``, support lex, then two-guard set lex.
@@ -191,9 +274,12 @@ def _lex_wrdf(g: Graph, weight: int, supports: range,
     each support takes the remaining ``weight - size`` units.  The slide
     analysis (``unsafe_zeros``) runs once per support; each candidate
     two-guard class is one node and passes iff it meets every unsafe mask.
-    The enumerator only yields dominating supports.
+    The enumerator only yields dominating supports, and its protection cut
+    drops only supports that no two-guard class of ``weight - size``
+    vertices makes weak Roman.
     """
-    for smask in _lex_dominating_masks(g, supports, counter):
+    g = t.g
+    for smask in _lex_dominating_masks(t, supports, counter, lambda size: weight - size):
         unsafe = list(unsafe_zeros(g, smask))
         members = list(iter_bits(smask))
         for dcombo in combinations(members, weight - smask.bit_count()):
@@ -211,11 +297,14 @@ def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult
     function with no two-guard vertex, so one pass over the dominating sets
     in canonical order (size ascending, then lex) checks each as a support
     with an empty two-guard class.  The slide analysis runs once per support
-    and stops at the first 0-vertex no guard can defend.  Each support is one
-    node, and the first hit is the lex-least minimum secure dominating set."""
+    and stops at the first 0-vertex no guard can defend.  The enumerator's
+    protection cut, with no two-guard vertex allowed, drops only sets that
+    are not secure.  Each support is one node, and the first hit is the
+    lex-least minimum secure dominating set."""
     _check(limits, "gamma_secure", g.n, "secure_max_n")
     counter = [0]
-    for smask in _lex_dominating_masks(g, range(g.n + 1), counter):
+    for smask in _lex_dominating_masks(_SearchTables(g), range(g.n + 1), counter,
+                                       lambda size: 0):
         counter[0] += 1
         if next(unsafe_zeros(g, smask), None) is None:
             return SolveResult("gamma_secure", smask.bit_count(), VertexSet(smask, g.n),
@@ -235,10 +324,11 @@ def gamma_weak_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     """
     _check(limits, "gamma_weak_roman", g.n, "weak_roman_max_n")
     counter = [0]
-    gval = next(_lex_dominating_masks(g, range(g.n + 1), counter)).bit_count()
+    t = _SearchTables(g)
+    gval = _domination_number(t, counter)
     for weight in range(gval, 2 * gval + 1):
         supports = range(max((weight + 1) // 2, gval), weight + 1)
-        witness = _lex_wrdf(g, weight, supports, counter)
+        witness = _lex_wrdf(t, weight, supports, counter)
         if witness is not None:
             return SolveResult("gamma_weak_roman", weight, witness, counter[0])
     raise AssertionError("a weak Roman function of weight 2*gamma always exists")
@@ -442,8 +532,9 @@ def enumerate_gamma_sets(g: Graph, limits: Optional[SolverLimits] = None) -> lis
     """All minimum dominating sets, in ascending (lexicographic) order."""
     _check(limits, "gamma_sets", g.n, "gamma_sets_max_n")
     counter = [0]
-    gval = next(_lex_dominating_masks(g, range(g.n + 1), counter)).bit_count()
-    return [VertexSet(m, g.n) for m in _lex_dominating_masks(g, range(gval, gval + 1), counter)]
+    t = _SearchTables(g)
+    gval = _domination_number(t, counter)
+    return [VertexSet(m, g.n) for m in _lex_dominating_masks(t, range(gval, gval + 1), counter)]
 
 
 def twin_classes(g: Graph) -> list[int]:
@@ -468,10 +559,11 @@ def tau(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     maximizing set (lexicographically least on ties)."""
     _check(limits, "tau", g.n, "gamma_sets_max_n")
     counter = [0]
-    gval = next(_lex_dominating_masks(g, range(g.n + 1), counter)).bit_count()
+    t = _SearchTables(g)
+    gval = _domination_number(t, counter)
     best = -1
     best_mask = 0
-    for m in _lex_dominating_masks(g, range(gval, gval + 1), counter):
+    for m in _lex_dominating_masks(t, range(gval, gval + 1), counter):
         size = twin_shadow_mask(g, m).bit_count()
         if size > best:
             best = size

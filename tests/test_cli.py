@@ -328,6 +328,15 @@ class TestNgAndConjecture:
         code, out, _ = run(["conjecture", "--family", "cycle", "--t-max", "4"])
         assert code == EXIT_OK and "False" in out  # the t=3 finding shows up
 
+    def test_t_max_below_first_order_is_usage_error(self):
+        for family, bad in (("cycle", "2"), ("cycle", "-1"), ("path", "1")):
+            code, out, err = run(["conjecture", "--family", family, "--t-max", bad])
+            assert code == EXIT_USAGE and out == "" and "--t-max" in err
+        for family, first in (("cycle", "3"), ("path", "2")):
+            code, out, _ = run(["conjecture", "--family", family, "--t-max", first,
+                                "--format", "json"])
+            assert code == EXIT_OK and [r["t"] for r in json.loads(out)["rows"]] == [int(first)]
+
 
 def test_commands_are_deterministic():
     for argv in (["solve", "--family", "cycle:9",

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,10 +9,11 @@ from domguard.graph import (Graph, cartesian_product, complete, corona, cycle, e
                             star)
 from domguard.protection import (GuardFunction, is_df, is_k_dominating, is_rdf,
                                  is_secure_dominating, is_wrdf)
-from domguard.solvers import (LimitExceeded, SolverLimits, chromatic_number,
-                              clique_cover, enumerate_gamma_sets, gamma, gamma_k,
-                              gamma_roman, gamma_secure, gamma_weak_roman,
-                              matching_number, solve, tau, two_packing)
+from domguard.solvers import (LimitExceeded, SolverLimits, _lex_dominating_masks,
+                              _SearchTables, chromatic_number, clique_cover,
+                              enumerate_gamma_sets, gamma, gamma_k, gamma_roman,
+                              gamma_secure, gamma_weak_roman, matching_number, solve,
+                              tau, two_packing)
 
 from conftest import random_graph
 
@@ -303,13 +304,39 @@ class TestLimits:
 def test_nodes_explored_pinned(fig1_tree, spider9):
     """Node counts are deterministic, so a change here is a change in the search."""
     cases = [
-        (fig1_tree, (6, 45, 22)),
-        (spider9, (6, 285, 22)),
-        (cartesian_product(path(3), path(3)), (16, 83, 163)),
-        (cartesian_product(cycle(5), complete(2)), (17, 101, 211)),
+        (fig1_tree, (6, 43, 22)),
+        (spider9, (6, 274, 22)),
+        (cartesian_product(path(3), path(3)), (16, 74, 142)),
+        (cartesian_product(cycle(5), complete(2)), (17, 91, 192)),
+        (cartesian_product(cycle(10), complete(2)), (47, 3860, 14151)),
     ]
     for g, nodes in cases:
         assert tuple(f(g).nodes_explored for f in (gamma, gamma_secure, gamma_weak_roman)) == nodes
+
+
+def test_protection_cut_is_sound_all_n6(corpus_all_n6):
+    """The protection cut of the dominating-set search, on every graph with
+    n <= 6, every set size and every two-guard allowance k in {0, 1, 2}: the
+    cut search yields an order-preserving subsequence of the uncut one, and
+    no set it drops holds a two-guard class T of size k that makes it weak
+    Roman."""
+    dropped = 0
+    for g in corpus_all_n6:
+        t = _SearchTables(g)
+        for size in range(g.n + 1):
+            sizes = range(size, size + 1)
+            uncut = list(_lex_dominating_masks(t, sizes, [0]))
+            for k in (0, 1, 2):
+                cut = list(_lex_dominating_masks(t, sizes, [0], lambda s, k=k: k))
+                rest = iter(uncut)
+                assert all(m in rest for m in cut)
+                for smask in set(uncut) - set(cut):
+                    members = [v for v in range(g.n) if smask >> v & 1]
+                    for twos in combinations(members, k):
+                        values = [2 if v in twos else smask >> v & 1 for v in range(g.n)]
+                        assert not oracles.naive_is_wrdf(g, values)
+                    dropped += 1
+    assert dropped == 326
 
 
 # ---------------------------------------------------------------------------
