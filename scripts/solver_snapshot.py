@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Snapshot every solver's result on the usual comparison graphs (development tool).
+
+Writes one JSON line per (graph, invariant) pair for every entry of
+``solvers.INVARIANT_IDS``: the ``SolveResult.to_json_dict()`` under the
+default limits, or the ``LimitExceeded`` message when the order is over a
+cap.  Two snapshots of different trees then compare with ``diff``:
+
+    PYTHONPATH=src python3 scripts/solver_snapshot.py > after.jsonl
+    PYTHONPATH=/path/to/other/src python3 scripts/solver_snapshot.py > before.jsonl
+    diff before.jsonl after.jsonl
+
+A change that reshapes a search but keeps its answers shows up as lines
+that differ in ``nodes_explored`` only.  The graph sets, in output order:
+
+  all6      every graph on 1..6 vertices (tests/fixtures, 208 graphs)
+  corpus7   every connected graph on 1..7 vertices (tests/fixtures, 996 graphs)
+  random    the random_audit graphs of bench/workloads.py for its default
+            seed (312 graphs), each followed by its complement
+  prisms    C12xK2, C14xK2, P5xP5 and P4xP6
+"""
+
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so another tree's src can win
+
+from bench.workloads import DEFAULT_SEED, random_audit_lines  # noqa: E402
+from domguard.graph import cartesian_product, complement, complete, cycle, path  # noqa: E402
+from domguard.graph6 import parse_graph6, write_graph6  # noqa: E402
+from domguard.solvers import INVARIANT_IDS, LimitExceeded, solve  # noqa: E402
+
+SETS = ("all6", "corpus7", "random", "prisms")
+FIXTURES = ROOT / "tests" / "fixtures"
+
+
+def graphs(name: str):
+    if name in ("all6", "corpus7"):
+        fixture = "all_graphs_n1_to_6.g6" if name == "all6" else "connected_n1_to_7.g6"
+        for line in (FIXTURES / fixture).read_text(encoding="ascii").split():
+            yield parse_graph6(line)
+    elif name == "random":
+        for line in random_audit_lines(DEFAULT_SEED):
+            g = parse_graph6(line)
+            yield g
+            yield complement(g)
+    else:
+        yield cartesian_product(cycle(12), complete(2))
+        yield cartesian_product(cycle(14), complete(2))
+        yield cartesian_product(path(5), path(5))
+        yield cartesian_product(path(4), path(6))
+
+
+def main() -> None:
+    for name in SETS:
+        for g in graphs(name):
+            g6 = write_graph6(g)
+            for inv in INVARIANT_IDS:
+                line = {"set": name, "graph6": g6, "invariant": inv}
+                try:
+                    line["result"] = solve(g, inv).to_json_dict()
+                except LimitExceeded as exc:
+                    line["limit"] = str(exc)
+                sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,8 @@ A failed applicable bound is a build-failing event, surfaced via the report's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 from .graph import (Graph, component_is_complete, complement, has_hamiltonian_cycle,
@@ -24,7 +25,8 @@ from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolveResult, SolverLimits, 
 
 class InvariantCache:
     """Lazily computed exact invariants for one graph under a solver budget;
-    each invariant is solved at most once and its whole result is kept."""
+    each invariant is solved at most once and its whole result is kept, and
+    each structural fact is computed once."""
 
     def __init__(self, g: Graph, limits: Optional[SolverLimits] = None):
         self.graph = g
@@ -34,7 +36,12 @@ class InvariantCache:
 
     def result(self, key: str) -> SolveResult:
         if key not in self._results:
-            self._results[key] = solve(self.graph, key, self.limits)
+            if key == "clique_cover" and self.n <= self.limits.chromatic_max_n:
+                # A clique cover of g is a coloring of its complement.
+                res = replace(self.co().result("chromatic"), invariant_id=key)
+            else:
+                res = solve(self.graph, key, self.limits)
+            self._results[key] = res
         return self._results[key]
 
     def value(self, key: str) -> int:
@@ -43,27 +50,27 @@ class InvariantCache:
     def computed_values(self) -> dict[str, int]:
         return {key: res.value for key, res in self._results.items()}
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.graph.n
 
-    @property
+    @cached_property
     def connected(self) -> bool:
         return is_connected(self.graph)
 
-    @property
+    @cached_property
     def no_isolated_vertex(self) -> bool:
-        return self.graph.n == 0 or min_degree(self.graph) >= 1
+        return self.n == 0 or self.min_degree >= 1
 
-    @property
+    @cached_property
     def has_complete_component(self) -> bool:
         return component_is_complete(self.graph)
 
-    @property
+    @cached_property
     def is_five_cycle(self) -> bool:
-        return self.graph.n == 5 and is_cycle_graph(self.graph)
+        return self.n == 5 and is_cycle_graph(self.graph)
 
-    @property
+    @cached_property
     def has_two_vertex_component(self) -> bool:
         g = self.graph
         for v in range(g.n):
@@ -73,15 +80,15 @@ class InvariantCache:
                     return True
         return False
 
-    @property
+    @cached_property
     def min_degree(self) -> int:
         return min_degree(self.graph)
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max_degree(self.graph)
 
-    @property
+    @cached_property
     def leaf_count(self) -> int:
         return leaf_count(self.graph)
 

@@ -7,10 +7,13 @@ explored so that the reported witness is the lexicographically least optimum
 (for guard functions: minimal support in set order, then minimal two-guard
 set, at the smallest feasible support size).
 
-Domination, secure and weak Roman domination, tau and the gamma-set list all
-come from one lex-ordered dominating-set search (``_lex_dominating_masks``),
-whose per-graph tables each solver builds once.  A node of that search is a
-partial set; every node it pops counts once in ``nodes_explored``.  For the
+Domination, k-domination, secure and weak Roman domination, tau and the
+gamma-set list all come from one lex-ordered dominating-set search
+(``_lex_dominating_masks``), whose per-graph tables each solver builds once.
+A node of that search is a partial set; every node it pops counts once in
+``nodes_explored``, and a solver that tests the sets it yields counts each
+tested set once more.  Each solver runs one search: the witness is the first
+hit (or the kept incumbent) of the search that finds the value.  For the
 secure and weak Roman solvers the search also cuts a partial set once its
 0-vertices with final guards that no lone guard can ever defend need more
 two-guard vertices than the set may hold.  The cut only drops sets that no
@@ -243,25 +246,21 @@ def gamma(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
 
 
 def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveResult:
-    """k-domination number by cardinality-ordered subset scan."""
+    """k-domination number with the lexicographically least minimum
+    k-dominating set.  For k >= 1 every k-dominating set dominates, so one
+    pass over the dominating sets in canonical order (size ascending, then
+    lex) checks each with ``kdom_mask``, starting at the number of vertices of
+    degree below k, which every k-dominating set must hold.  Each set is one
+    node, and the first hit is the witness."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check(limits, f"gamma_{k}", g.n, "kdomination_max_n")
     counter = [0]
-    forced = 0
-    for v in range(g.n):
-        if g.degree(v) < k:
-            forced |= 1 << v
-    for size in range(forced.bit_count(), g.n + 1):
-        for combo in combinations(range(g.n), size):
-            counter[0] += 1
-            mask = 0
-            for b in combo:
-                mask |= 1 << b
-            if forced & ~mask:
-                continue
-            if kdom_mask(g, mask, k):
-                return SolveResult(f"gamma_{k}", size, VertexSet(mask, g.n), counter[0])
+    forced = sum(1 for v in range(g.n) if g.degree(v) < k)
+    for mask in _lex_dominating_masks(_SearchTables(g), range(forced, g.n + 1), counter):
+        counter[0] += 1
+        if kdom_mask(g, mask, k):
+            return SolveResult(f"gamma_{k}", mask.bit_count(), VertexSet(mask, g.n), counter[0])
     raise AssertionError("the whole vertex set is always k-dominating")
 
 
@@ -403,7 +402,10 @@ def matching_number(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRes
 
 def two_packing(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """2-packing number as a maximum independent set of the closed-neighborhood
-    intersection graph."""
+    intersection graph.  The search branches include-first on the lowest
+    candidate, so it meets packings in lex order, and it keeps a packing only
+    when it is strictly larger than the incumbent: the witness is the
+    lexicographically least maximum 2-packing."""
     _check(limits, "two_packing", g.n, "two_packing_max_n")
     counter = [0]
     n, closed = g.n, g.closed
@@ -415,38 +417,22 @@ def two_packing(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
                 row |= 1 << u
         conflict[v] = row
     best = 0
-    full = g.full_mask
+    best_mask = 0
 
-    def rec(cand: int, size: int) -> None:
-        nonlocal best
+    def rec(cand: int, chosen: int, size: int) -> None:
+        nonlocal best, best_mask
         counter[0] += 1
         if size + cand.bit_count() <= best:
             return
-        if not cand:
-            if size > best:
-                best = size
+        if not cand:  # not cut above, so size > best
+            best, best_mask = size, chosen
             return
         low = cand & -cand
-        v = low.bit_length() - 1
-        rec(cand & ~conflict[v], size + 1)
-        rec(cand & ~low, size)
+        rec(cand & ~conflict[low.bit_length() - 1], chosen | low, size + 1)
+        rec(cand & ~low, chosen, size)
 
-    rec(full, 0)
-
-    def lex_witness(chosen: int, banned: int, i: int, r: int) -> Optional[int]:
-        counter[0] += 1
-        if r == 0:
-            return chosen
-        if n - i < r:
-            return None
-        if not banned >> i & 1:
-            res = lex_witness(chosen | 1 << i, banned | conflict[i], i + 1, r - 1)
-            if res is not None:
-                return res
-        return lex_witness(chosen, banned, i + 1, r)
-
-    witness = lex_witness(0, 0, 0, best) if best else 0
-    return SolveResult("two_packing", best, VertexSet(witness or 0, n), counter[0])
+    rec(g.full_mask, 0, 0)
+    return SolveResult("two_packing", best, VertexSet(best_mask, n), counter[0])
 
 
 def _chromatic_core(g: Graph, counter: list[int]) -> tuple[int, tuple[int, ...]]:

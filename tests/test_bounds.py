@@ -73,6 +73,31 @@ class TestAudit:
         assert rep.incomplete
         assert any(r.budget_exceeded for r in rep.bounds)
 
+    def test_clique_cover_reuses_complement_coloring(self, monkeypatch):
+        import domguard.solvers as solvers
+        calls = []
+        core = solvers._chromatic_core
+
+        def counted(g, counter):
+            calls.append(g.n)
+            return core(g, counter)
+
+        monkeypatch.setattr(solvers, "_chromatic_core", counted)
+        rep = audit(cycle(9))
+        assert calls == [9, 9]
+        assert rep.invariants["clique_cover"] == 5 and not rep.incomplete
+        calls.clear()
+        rep = audit(cycle(9), SolverLimits(chromatic_max_n=4))
+        assert calls == []
+        reasons = {r.id: r.reason for r in rep.bounds if r.budget_exceeded}
+        assert reasons == {
+            "secure_le_clique_cover": "budget: clique_cover: order 9 exceeds solver limit 4",
+            "ng_chromatic_sum_le_order_plus_one":
+                "budget: chromatic: order 9 exceeds solver limit 4",
+            "ng_chromatic_product_le_order_bound":
+                "budget: chromatic: order 9 exceeds solver limit 4",
+        }
+
     def test_refined_rows_record_which_side_triggered(self, fig2_right):
         rep = audit(fig2_right)
         row = rows_by_id(rep)["ng_secure_sum_refined"]

@@ -83,6 +83,14 @@ class TestGammaK:
     def test_k1(self):
         assert gamma_k(complete(1), 2).value == 1
 
+    def test_oracle_equivalence_all_n6(self, corpus_all_n6):
+        for g in corpus_all_n6:
+            for k in (1, 2, 3):
+                res = gamma_k(g, k)
+                value, members = oracles.brute_gamma_k(g, k)
+                assert res.value == value
+                assert res.witness.members() == tuple(sorted(members))
+
 
 class TestGammaRoman:
     @pytest.mark.parametrize("t", range(2, 7))
@@ -303,15 +311,19 @@ class TestLimits:
 
 def test_nodes_explored_pinned(fig1_tree, spider9):
     """Node counts are deterministic, so a change here is a change in the search."""
+    def gamma_2(g):
+        return gamma_k(g, 2, SolverLimits(kdomination_max_n=20))
+
     cases = [
-        (fig1_tree, (6, 43, 22)),
-        (spider9, (6, 274, 22)),
-        (cartesian_product(path(3), path(3)), (16, 74, 142)),
-        (cartesian_product(cycle(5), complete(2)), (17, 91, 192)),
-        (cartesian_product(cycle(10), complete(2)), (47, 3860, 14151)),
+        (fig1_tree, (6, 43, 22, 53, 15)),
+        (spider9, (6, 274, 22, 138, 33)),
+        (cartesian_product(path(3), path(3)), (16, 74, 142, 176, 25)),
+        (cartesian_product(cycle(5), complete(2)), (17, 91, 192, 516, 25)),
+        (cartesian_product(cycle(10), complete(2)), (47, 3860, 14151, 195934, 469)),
     ]
+    solvers = (gamma, gamma_secure, gamma_weak_roman, gamma_2, two_packing)
     for g, nodes in cases:
-        assert tuple(f(g).nodes_explored for f in (gamma, gamma_secure, gamma_weak_roman)) == nodes
+        assert tuple(f(g).nodes_explored for f in solvers) == nodes
 
 
 def test_protection_cut_is_sound_all_n6(corpus_all_n6):
@@ -393,7 +405,10 @@ def test_oracle_equivalence_connected_n7(corpus_connected_n7):
         value, members = oracles.brute_gamma(g)
         assert dom.value == value
         assert dom.witness.members() == tuple(sorted(members))
-        assert gamma_k(g, 2).value == oracles.brute_gamma_k(g, 2)[0]
+        kdom = gamma_k(g, 2)
+        value, members = oracles.brute_gamma_k(g, 2)
+        assert kdom.value == value
+        assert kdom.witness.members() == tuple(sorted(members))
         assert gamma_roman(g).value == oracles.brute_gamma_roman(g)[0]
         assert gamma_weak_roman(g).value == oracles.brute_gamma_weak_roman(g)[0]
         secure = gamma_secure(g)
@@ -401,7 +416,10 @@ def test_oracle_equivalence_connected_n7(corpus_connected_n7):
         assert secure.value == value
         assert secure.witness.members() == tuple(sorted(members))
         assert matching_number(g).value == oracles.brute_matching(g)[0]
-        assert two_packing(g).value == oracles.brute_two_packing(g)[0]
+        packing = two_packing(g)
+        value, members = oracles.brute_two_packing(g)
+        assert packing.value == value
+        assert packing.witness.members() == tuple(sorted(members))
         assert chromatic_number(g).value == oracles.brute_chromatic(g)
         assert clique_cover(g).value == oracles.brute_clique_cover(g)
         twins = tau(g)
