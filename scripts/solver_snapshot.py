@@ -10,6 +10,10 @@ cap.  Two snapshots of different trees then compare with ``diff``:
     PYTHONPATH=/path/to/other/src python3 scripts/solver_snapshot.py > before.jsonl
     diff before.jsonl after.jsonl
 
+Each graph then gets one more line, marked ``"via": "InvariantCache"``, for
+each of ``gamma_weak_roman`` and ``gamma_secure`` as the audit computes them
+through ``bounds.InvariantCache``, so the diff also covers the audit's route.
+
 A change that reshapes a search but keeps its answers shows up as lines
 that differ in ``nodes_explored`` only.  The graph sets, in output order:
 
@@ -29,11 +33,13 @@ sys.path.insert(0, str(ROOT))
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so another tree's src can win
 
 from bench.workloads import DEFAULT_SEED, random_audit_lines  # noqa: E402
+from domguard.bounds import InvariantCache  # noqa: E402
 from domguard.graph import cartesian_product, complement, complete, cycle, path  # noqa: E402
 from domguard.graph6 import parse_graph6, write_graph6  # noqa: E402
 from domguard.solvers import INVARIANT_IDS, LimitExceeded, solve  # noqa: E402
 
 SETS = ("all6", "corpus7", "random", "prisms")
+CACHED = ("gamma_weak_roman", "gamma_secure")
 FIXTURES = ROOT / "tests" / "fixtures"
 
 
@@ -54,17 +60,24 @@ def graphs(name: str):
         yield cartesian_product(path(4), path(6))
 
 
+def emit(line: dict, compute) -> None:
+    try:
+        line["result"] = compute().to_json_dict()
+    except LimitExceeded as exc:
+        line["limit"] = str(exc)
+    sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
+
+
 def main() -> None:
     for name in SETS:
         for g in graphs(name):
             g6 = write_graph6(g)
             for inv in INVARIANT_IDS:
-                line = {"set": name, "graph6": g6, "invariant": inv}
-                try:
-                    line["result"] = solve(g, inv).to_json_dict()
-                except LimitExceeded as exc:
-                    line["limit"] = str(exc)
-                sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
+                emit({"set": name, "graph6": g6, "invariant": inv}, lambda: solve(g, inv))
+            cache = InvariantCache(g)
+            for inv in CACHED:
+                emit({"set": name, "graph6": g6, "invariant": inv, "via": "InvariantCache"},
+                     lambda: cache.result(inv))
 
 
 if __name__ == "__main__":

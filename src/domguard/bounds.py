@@ -39,6 +39,10 @@ class InvariantCache:
             if key == "clique_cover" and self.n <= self.limits.chromatic_max_n:
                 # A clique cover of g is a coloring of its complement.
                 res = replace(self.co().result("chromatic"), invariant_id=key)
+            elif key == "gamma_secure" and self.n <= min(self.limits.secure_max_n,
+                                                         self.limits.weak_roman_max_n):
+                # γ_s ≥ γ_wr: the secure search starts from the weak Roman result.
+                res = gamma_secure(self.graph, self.limits, self.result("gamma_weak_roman"))
             else:
                 res = solve(self.graph, key, self.limits)
             self._results[key] = res
@@ -91,6 +95,23 @@ class InvariantCache:
     @cached_property
     def leaf_count(self) -> int:
         return leaf_count(self.graph)
+
+    @cached_property
+    def refined_ng_side(self) -> Optional[str]:
+        """Which of the graph / its complement satisfies the refined
+        Nordhaus-Gaddum hypotheses."""
+        def side_ok(s: InvariantCache) -> bool:
+            return (s.connected and not s.is_five_cycle and s.min_degree >= 2
+                    and s.max_degree <= s.n - 3)
+        g_ok = side_ok(self)
+        co_ok = side_ok(self.co())
+        if g_ok and co_ok:
+            return "both"
+        if g_ok:
+            return "graph"
+        if co_ok:
+            return "complement"
+        return None
 
     def hamiltonian(self) -> bool:
         if self.graph.n > self.limits.hamiltonian_max_n:
@@ -186,22 +207,6 @@ def _no_complete_component(c: InvariantCache) -> None:
 def _connected_nontrivial(c: InvariantCache) -> None:
     _need(c.n >= 2, "order below 2")
     _need(c.connected, "graph is disconnected")
-
-
-def _refined_ng_side(c: InvariantCache) -> Optional[str]:
-    """Which of the graph / its complement satisfies the refined hypotheses."""
-    def side_ok(s: InvariantCache) -> bool:
-        return (s.connected and not s.is_five_cycle and s.min_degree >= 2
-                and s.max_degree <= s.n - 3)
-    g_ok = side_ok(c)
-    co_ok = side_ok(c.co())
-    if g_ok and co_ok:
-        return "both"
-    if g_ok:
-        return "graph"
-    if co_ok:
-        return "complement"
-    return None
 
 
 def _make_registry() -> tuple[BoundSpec, ...]:
@@ -358,25 +363,28 @@ def _make_registry() -> tuple[BoundSpec, ...]:
         lambda c: (c.n + 1) ** 2 / 4,
         lambda c: c.value("gamma_secure") * c.co().value("gamma_secure"))
 
+    def _refined_note(c):
+        return f"hypotheses hold for: {c.refined_ng_side}" if c.refined_ng_side else None
+
     def _refined_sum(c):
-        side = _refined_ng_side(c)
-        _need(side is not None, "refined hypotheses fail for graph and complement")
+        _need(c.refined_ng_side is not None,
+              "refined hypotheses fail for graph and complement")
         return c.n - 1 if c.n % 2 else c.n
     add("ng_secure_sum_refined", "upper", "gamma_secure",
         "secure sum is at most n-1 (n odd) or n (n even) under the refined hypotheses",
         _refined_sum,
         lambda c: c.value("gamma_secure") + c.co().value("gamma_secure"),
-        note=lambda c: (lambda s: f"hypotheses hold for: {s}" if s else None)(_refined_ng_side(c)))
+        note=_refined_note)
 
     def _refined_product(c):
-        side = _refined_ng_side(c)
-        _need(side is not None, "refined hypotheses fail for graph and complement")
+        _need(c.refined_ng_side is not None,
+              "refined hypotheses fail for graph and complement")
         return (c.n - 1) ** 2 / 4 if c.n % 2 else c.n ** 2 / 4
     add("ng_secure_product_refined", "upper", "gamma_secure",
         "secure product is at most (n-1)^2/4 (n odd) or n^2/4 (n even) under the "
         "refined hypotheses", _refined_product,
         lambda c: c.value("gamma_secure") * c.co().value("gamma_secure"),
-        note=lambda c: (lambda s: f"hypotheses hold for: {s}" if s else None)(_refined_ng_side(c)))
+        note=_refined_note)
 
     add("ng_chromatic_sum_le_order_plus_one", "upper", "chromatic",
         "chromatic sum over graph and complement is at most n + 1",
@@ -633,7 +641,7 @@ def nordhaus_gaddum(g: Graph, limits: Optional[SolverLimits] = None) -> dict:
     wr, sec = cache.value("gamma_weak_roman"), cache.value("gamma_secure")
     wr_c, sec_c = co.value("gamma_weak_roman"), co.value("gamma_secure")
     rows = {spec.id: _evaluate(spec, cache) for spec in _REGISTRY if spec.id in _NG_CHECKS}
-    side = _refined_ng_side(cache)
+    side = cache.refined_ng_side
     checks = {_NG_CHECKS[rid]: row.holds for rid, row in rows.items() if row.applicable}
     return {
         "n": g.n,

@@ -427,12 +427,22 @@ def has_hamiltonian_cycle(g: Graph, search_cap: int = HAMILTONIAN_SEARCH_CAP) ->
         if visited == full:
             return bool(adj[current] & 1)  # close the cycle back to vertex 0
         unvisited = full & ~visited
+        slots = unvisited | (1 << current) | 1
         # degree-based pruning: every unvisited vertex still needs two usable
-        # slots among {unvisited vertices, current endpoint, start}
+        # slots among {unvisited vertices, current endpoint, start}.  Once the
+        # endpoint is not the start, a vertex whose only two slots include the
+        # endpoint must come next, and two such vertices kill the branch.
+        forced = 0
         for w in iter_bits(unvisited):
-            if (adj[w] & (unvisited | (1 << current) | 1)).bit_count() < 2:
+            usable = adj[w] & slots
+            count = usable.bit_count()
+            if count < 2:
                 return False
-        for v in iter_bits(adj[current] & unvisited):
+            if count == 2 and current and usable >> current & 1:
+                if forced:
+                    return False
+                forced = 1 << w
+        for v in iter_bits(forced or adj[current] & unvisited):
             if extend(v, visited | (1 << v)):
                 return True
         return False

@@ -11,7 +11,7 @@ Intended for orders up to about 7; cost grows as 3^n for the guard scans.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .graph import Graph
 
@@ -195,3 +195,15 @@ def brute_tau(g: Graph) -> tuple[int, set[int]]:
     if best < 0:
         return 0, set()
     return best, best_set
+
+
+def naive_is_hamiltonian(g: Graph) -> bool:
+    """Some ordering of the vertices, starting at vertex 0, is a cycle."""
+    if g.n < 3:
+        return False
+    nbrs = _nbrs(g)
+    for rest in permutations(range(1, g.n)):
+        order = (0,) + rest
+        if all(order[i - 1] in nbrs[order[i]] for i in range(g.n)):
+            return True
+    return False

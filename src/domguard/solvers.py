@@ -20,6 +20,12 @@ two-guard vertices than the set may hold.  The cut only drops sets that no
 allowed two-guard class makes weak Roman, so values and witnesses are those
 of the uncut search.
 
+``gamma_secure`` can start from the graph's weak Roman result, as the
+audit's ``InvariantCache`` does: γ_s ≥ γ_wr, so its search begins at size
+γ_wr, and a weak Roman witness with no two-guard vertex is already the
+secure witness.  Either way the value and witness are those of the search
+from size 0; only ``nodes_explored`` is smaller.
+
 Size limits are configuration (SolverLimits), not constants; exceeding one
 raises LimitExceeded so audit drivers can mark results incomplete instead of
 hanging.
@@ -291,7 +297,8 @@ def _lex_wrdf(t: _SearchTables, weight: int, supports: range,
     return None
 
 
-def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
+def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None,
+                 weak_roman: Optional[SolveResult] = None) -> SolveResult:
     """Secure domination number: a secure dominating set is a weak Roman
     function with no two-guard vertex, so one pass over the dominating sets
     in canonical order (size ascending, then lex) checks each as a support
@@ -299,10 +306,26 @@ def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult
     and stops at the first 0-vertex no guard can defend.  The enumerator's
     protection cut, with no two-guard vertex allowed, drops only sets that
     are not secure.  Each support is one node, and the first hit is the
-    lex-least minimum secure dominating set."""
+    lex-least minimum secure dominating set.
+
+    ``weak_roman``, when given, is ``gamma_weak_roman(g)``'s result, of
+    weight W with canonical witness (S, D).  Since γ_s ≥ γ_wr the pass
+    starts at size W, and if D is empty, S is the answer with no node
+    popped: the weak Roman order at weight W, on supports of size W, is this
+    pass's size-W order."""
     _check(limits, "gamma_secure", g.n, "secure_max_n")
+    start = 0
+    if weak_roman is not None:
+        f = weak_roman.witness
+        if (weak_roman.invariant_id != "gamma_weak_roman"
+                or not isinstance(f, GuardFunction) or f.graph != g):
+            raise ValueError("weak_roman is not a gamma_weak_roman result of this graph")
+        if not f.two_mask:
+            return SolveResult("gamma_secure", weak_roman.value,
+                               VertexSet(f.support_mask, g.n), 0)
+        start = weak_roman.value
     counter = [0]
-    for smask in _lex_dominating_masks(_SearchTables(g), range(g.n + 1), counter,
+    for smask in _lex_dominating_masks(_SearchTables(g), range(start, g.n + 1), counter,
                                        lambda size: 0):
         counter[0] += 1
         if next(unsafe_zeros(g, smask), None) is None:

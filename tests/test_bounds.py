@@ -5,8 +5,8 @@ import pytest
 
 from domguard.bounds import (BoundReport, InvariantCache, audit, conjecture_scan,
                              family_value, nordhaus_gaddum, product_audit, registry)
-from domguard.graph import (Graph, cartesian_product, complete, component_is_complete,
-                            corona, cycle, empty, join, path, star)
+from domguard.graph import (Graph, cartesian_product, complement, complete,
+                            component_is_complete, corona, cycle, empty, join, path, star)
 from domguard.solvers import SolverLimits, gamma, gamma_roman, gamma_secure, gamma_weak_roman
 
 from conftest import random_connected_graph
@@ -98,6 +98,66 @@ class TestAudit:
                 "budget: chromatic: order 9 exceeds solver limit 4",
         }
 
+    def test_secure_search_starts_from_weak_roman(self, monkeypatch):
+        import domguard.bounds as bounds_mod
+        import domguard.solvers as solvers
+        calls = []  # (graph, sizes of each dominating-set search) per secure solve
+        inside = []
+        search, secure = solvers._lex_dominating_masks, bounds_mod.gamma_secure
+
+        def counted_search(t, sizes, counter, allowance=None):
+            if inside:
+                calls[-1][1].append(sizes)
+            return search(t, sizes, counter, allowance)
+
+        def traced_secure(g, *args):
+            calls.append((g, []))
+            inside.append(g)
+            try:
+                return secure(g, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(solvers, "_lex_dominating_masks", counted_search)
+        monkeypatch.setattr(bounds_mod, "gamma_secure", traced_secure)
+        # C9's weak Roman witness 1,0,1,0,1,0,1,0,0 has no two-guard vertex.
+        rep = audit(cycle(9))
+        assert [sizes for g, sizes in calls if g == cycle(9)] == [[]]
+        assert rep.invariants["gamma_secure"] == 4
+        calls.clear()
+        # P5's witness 1,0,0,2,0 has one, so the search starts at size 3.
+        rep = audit(path(5))
+        assert [sizes for g, sizes in calls if g == path(5)] == [[range(3, 6)]]
+        assert rep.invariants["gamma_secure"] == 3
+
+    def test_secure_budget_with_weak_roman_start(self):
+        rep = audit(cycle(9), SolverLimits(secure_max_n=4))
+        reasons = {r.id: r.reason for r in rep.bounds if r.budget_exceeded}
+        assert set(reasons) == {
+            "chain_weak_roman_le_secure", "equal_weak_roman_gamma_iff_secure_gamma",
+            "hamiltonian_secure_three_sevenths", "secure_le_two_domination",
+            "secure_le_half_order", "secure_ge_leaf_count", "secure_le_order_minus_matching",
+            "secure_le_order_minus_gamma", "secure_le_order_gamma_tau",
+            "secure_le_order_packing_tau", "secure_le_degree_fraction_tau",
+            "secure_le_clique_cover", "ng_weak_roman_sum_le_secure_sum",
+            "ng_secure_sum_le_order_plus_one", "ng_weak_roman_product_le_secure_product",
+            "ng_secure_product_le_order_bound", "ng_secure_sum_refined",
+            "ng_secure_product_refined"}
+        assert set(reasons.values()) == {"budget: gamma_secure: order 9 exceeds solver limit 4"}
+        assert rep.invariants["gamma_weak_roman"] == 4
+        # Without a weak Roman result the secure search runs on its own.
+        rep = audit(cycle(9), SolverLimits(weak_roman_max_n=4))
+        reasons = {r.id: r.reason for r in rep.bounds if r.budget_exceeded}
+        assert set(reasons) == {
+            "chain_gamma_le_weak_roman", "chain_weak_roman_le_roman",
+            "chain_weak_roman_le_secure", "equal_weak_roman_gamma_iff_secure_gamma",
+            "weak_roman_le_two_thirds", "weak_roman_le_half_order_gamma_tau",
+            "weak_roman_le_two_gamma_tau", "ng_weak_roman_sum_le_secure_sum",
+            "ng_weak_roman_product_le_secure_product"}
+        assert set(reasons.values()) == {
+            "budget: gamma_weak_roman: order 9 exceeds solver limit 4"}
+        assert rep.invariants["gamma_secure"] == gamma_secure(cycle(9)).value == 4
+
     def test_refined_rows_record_which_side_triggered(self, fig2_right):
         rep = audit(fig2_right)
         row = rows_by_id(rep)["ng_secure_sum_refined"]
@@ -120,6 +180,15 @@ class TestAudit:
             assert rep.passed, (rep.graph6, [(r.id, r.claimed, r.actual)
                                              for r in rep.failures()])
             assert not rep.incomplete
+
+
+class TestInvariantCache:
+    def test_secure_from_weak_roman_matches_standalone(self, corpus_all_n6,
+                                                       corpus_connected_n7):
+        for g0 in corpus_all_n6 + corpus_connected_n7:
+            for g in (g0, complement(g0)):
+                res, alone = InvariantCache(g).result("gamma_secure"), gamma_secure(g)
+                assert (res.value, res.witness) == (alone.value, alone.witness), g
 
 
 class TestFamilyValue:

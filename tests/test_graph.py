@@ -10,6 +10,7 @@ from domguard.graph import (VERTEX_CAP, Graph, GraphError, VertexSet, cartesian_
                             is_connected, is_cycle_graph, is_tree, join, leaf_count,
                             max_degree, min_degree, path, remove_edge, spanning_tree,
                             star)
+from domguard.oracles import naive_is_hamiltonian
 
 from conftest import random_graph
 
@@ -272,3 +273,15 @@ class TestHamiltonicity:
     def test_refuses_large_input(self):
         with pytest.raises(GraphError):
             has_hamiltonian_cycle(empty(30))
+
+    def test_oracle_equivalence_connected_n7(self, corpus_connected_n7):
+        """The pruned search against a plain permutation scan on every
+        connected graph with n <= 7."""
+        for g in corpus_connected_n7:
+            assert has_hamiltonian_cycle(g) == naive_is_hamiltonian(g), g
+
+    def test_oracle_equivalence_random_n8_n9(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            g = random_graph(rng, rng.choice((8, 9)), rng.choice((0.35, 0.5)))
+            assert has_hamiltonian_cycle(g) == naive_is_hamiltonian(g), g

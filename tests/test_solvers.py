@@ -191,6 +191,12 @@ class TestGammaSecure:
             res = gamma_secure(g)
             assert is_secure_dominating(g, res.witness) and len(res.witness) == res.value
 
+    def test_rejects_weak_roman_result_of_another_graph(self):
+        with pytest.raises(ValueError):
+            gamma_secure(path(5), weak_roman=gamma_weak_roman(cycle(5)))
+        with pytest.raises(ValueError):
+            gamma_secure(path(5), weak_roman=gamma(path(5)))
+
 
 class TestAuxiliarySolvers:
     def test_matching_examples(self):
