@@ -385,8 +385,11 @@ def _cmd_audit(args) -> int:
         raise SpecError("--workers must be positive", 0)
     audit_one = partial(_audit_one_line, limits=cfg.limits(), limit_n=cfg.limit_n)
     lines = _read_graph_lines(cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # A fork-based pool starts all its workers at the first submit, so never
+    # ask for more workers than there are graphs.
+    workers = min(cfg.workers, len(lines))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(audit_one, lines))
     else:
         reports = [audit_one(line) for line in lines]

@@ -427,6 +427,10 @@ def has_hamiltonian_cycle(g: Graph, search_cap: int = HAMILTONIAN_SEARCH_CAP) ->
         if visited == full:
             return bool(adj[current] & 1)  # close the cycle back to vertex 0
         unvisited = full & ~visited
+        # The cycle closes from the last unvisited vertex back to the start,
+        # so the start needs an unvisited neighbor.
+        if not adj[0] & unvisited:
+            return False
         slots = unvisited | (1 << current) | 1
         # degree-based pruning: every unvisited vertex still needs two usable
         # slots among {unvisited vertices, current endpoint, start}.  Once the

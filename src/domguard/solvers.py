@@ -18,7 +18,10 @@ secure and weak Roman solvers the search also cuts a partial set once its
 0-vertices with final guards that no lone guard can ever defend need more
 two-guard vertices than the set may hold.  The cut only drops sets that no
 allowed two-guard class makes weak Roman, so values and witnesses are those
-of the uncut search.
+of the uncut search.  The k-domination solver likewise cuts a partial set
+once a vertex it leaves out can no longer reach k chosen neighbors.  Every
+solver's search pushes a last pick only if it covers everything still
+uncovered.
 
 ``gamma_secure`` can start from the graph's weak Roman result, as the
 audit's ``InvariantCache`` does: γ_s ≥ γ_wr, so its search begins at size
@@ -141,7 +144,8 @@ class _SearchTables:
 
 
 def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
-                          allowance: Optional[Callable[[int], int]] = None) -> Iterator[int]:
+                          allowance: Optional[Callable[[int], int]] = None,
+                          reach: Optional[list[tuple[int, int]]] = None) -> Iterator[int]:
     """Dominating sets with a size in ``sizes``: size ascending, then in
     lexicographic order of their sorted member tuples.  The first set yielded
     over ``range(g.n + 1)`` is the lex-least minimum dominating set.
@@ -152,8 +156,20 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     fix the next member ``j >= i`` and are popped in ascending ``j``, up to
     the first ``j`` past which some uncovered vertex has no neighbor left.  A
     node is cut when the remaining picks cannot cover what is left (by count,
-    or by a greedy 2-packing of uncovered vertices).  Once everything is
+    or by a greedy 2-packing of uncovered vertices).  With one pick left the
+    children are exactly the ``j`` in the intersection of the closed
+    neighborhoods of the uncovered vertices, taken once per node, so no
+    child is pushed that leaves a vertex uncovered.  Once everything is
     covered the remaining picks are free and filled by plain combinations.
+
+    ``reach``, when given, is ``_k_reach(g, k)`` and turns on the k-coverage
+    cut: a node is cut when some non-member below ``i`` has fewer than k
+    chosen neighbors plus neighbors at index ``>= i``.  Picks come only from
+    ``i`` on, so no completion of the node is k-dominating.  For a
+    non-member, ``covered`` and ``twice`` are the vertices with at least one
+    and at least two chosen neighbors, so the test is exact for k <= 2; for
+    larger k it treats two chosen neighbors as enough and cuts less.  It
+    drops only sets that are not k-dominating and keeps the rest in order.
 
     ``allowance(size)``, when given, is the number k of two-guard vertices a
     set of that size may hold, and turns on the protection cut.  A 0-vertex
@@ -185,13 +201,28 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
             if unc:
                 if unc.bit_count() > r * maxcov:
                     continue
-                # Uncovered vertices pairwise more than two apart need distinct picks.
-                rest = unc
-                for _ in range(r):
-                    rest &= ~ball2[(rest & -rest).bit_length() - 1]
-                    if not rest:
-                        break
+                if r == 1:
+                    # The last pick must cover everything left on its own.
+                    last = full >> i << i
+                    m = unc
+                    while m:
+                        low = m & -m
+                        last &= closed[low.bit_length() - 1]
+                        m ^= low
+                    if not last:
+                        continue
                 else:
+                    # Uncovered vertices pairwise more than two apart need distinct picks.
+                    rest = unc
+                    for _ in range(r):
+                        rest &= ~ball2[(rest & -rest).bit_length() - 1]
+                        if not rest:
+                            break
+                    else:
+                        continue
+            if reach is not None:
+                one_short, enough = reach[i]
+                if ~chosen & (1 << i) - 1 & ~(twice | covered & one_short | enough):
                     continue
             if k is not None:
                 fresh = suffix[parent_i] & ~suffix[i] & ~chosen
@@ -224,8 +255,16 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                     yield m
                 continue
             # The children are the picks j >= i up to the first j past which
-            # some uncovered vertex has no neighbor left; push them so that
-            # the lowest j is popped first.
+            # some uncovered vertex has no neighbor left (for the last pick,
+            # the j that cover all of them); push them so that the lowest j
+            # is popped first.
+            if r == 1:
+                while last:
+                    j = last.bit_length() - 1
+                    last ^= 1 << j
+                    push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
+                          j + 1, 0, i, used, hits))
+                continue
             end = i
             while end <= n - r and not unc & ~suffix[end]:
                 end += 1
@@ -251,19 +290,39 @@ def gamma(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     return SolveResult("gamma", witness.bit_count(), VertexSet(witness, g.n), counter[0])
 
 
+def _k_reach(g: Graph, k: int) -> list[tuple[int, int]]:
+    """The k-coverage tables of ``_lex_dominating_masks``: entry ``i`` holds
+    the vertices with at least k - 1 and with at least k neighbors at index
+    >= i, the neighbors that picks from ``i`` on can still add."""
+    n, adj = g.n, g.adj
+    reach = []
+    for i in range(n + 1):
+        one_short = enough = 0
+        for v in range(n):
+            later = (adj[v] >> i).bit_count()
+            if later >= k - 1:
+                one_short |= 1 << v
+                if later >= k:
+                    enough |= 1 << v
+        reach.append((one_short, enough))
+    return reach
+
+
 def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveResult:
     """k-domination number with the lexicographically least minimum
     k-dominating set.  For k >= 1 every k-dominating set dominates, so one
     pass over the dominating sets in canonical order (size ascending, then
     lex) checks each with ``kdom_mask``, starting at the number of vertices of
-    degree below k, which every k-dominating set must hold.  Each set is one
-    node, and the first hit is the witness."""
+    degree below k, which every k-dominating set must hold.  The search takes
+    the k-coverage cut, which drops only sets that are not k-dominating.
+    Each set is one node, and the first hit is the witness."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check(limits, f"gamma_{k}", g.n, "kdomination_max_n")
     counter = [0]
     forced = sum(1 for v in range(g.n) if g.degree(v) < k)
-    for mask in _lex_dominating_masks(_SearchTables(g), range(forced, g.n + 1), counter):
+    for mask in _lex_dominating_masks(_SearchTables(g), range(forced, g.n + 1), counter,
+                                      reach=_k_reach(g, k)):
         counter[0] += 1
         if kdom_mask(g, mask, k):
             return SolveResult(f"gamma_{k}", mask.bit_count(), VertexSet(mask, g.n), counter[0])

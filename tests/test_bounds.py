@@ -105,10 +105,10 @@ class TestAudit:
         inside = []
         search, secure = solvers._lex_dominating_masks, bounds_mod.gamma_secure
 
-        def counted_search(t, sizes, counter, allowance=None):
+        def counted_search(t, sizes, counter, allowance=None, reach=None):
             if inside:
                 calls[-1][1].append(sizes)
-            return search(t, sizes, counter, allowance)
+            return search(t, sizes, counter, allowance, reach)
 
         def traced_secure(g, *args):
             calls.append((g, []))

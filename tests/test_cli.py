@@ -289,6 +289,35 @@ class TestAudit:
         assert code == EXIT_OK
         assert [rep["graph6"] for rep in data] == lines
 
+    def test_workers_capped_at_graph_count(self, monkeypatch):
+        import domguard.cli as cli_mod
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+        lines = [write_graph6(cycle(t)) for t in (3, 4, 5)]
+        code, out, _ = run(["audit", "--workers", "500", "--format", "json"],
+                           "\n".join(lines) + "\n")
+        assert code == EXIT_OK and pools == [3]
+        assert [rep["graph6"] for rep in json.loads(out)] == lines
+        _, serial, _ = run(["audit", "--format", "json"], "\n".join(lines) + "\n")
+        assert out == serial
+        code, out, _ = run(["audit", "--workers", "500", "--format", "json"], lines[0] + "\n")
+        assert code == EXIT_OK and pools == [3]
+        assert [rep["graph6"] for rep in json.loads(out)] == lines[:1]
+
     def test_text_mode(self):
         code, out, _ = run(["audit", "--family", "path:5"])
         assert code == EXIT_OK and "pass" in out

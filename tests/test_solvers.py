@@ -10,7 +10,7 @@ from domguard.graph import (Graph, cartesian_product, complete, corona, cycle, e
 from domguard.protection import (GuardFunction, is_df, is_k_dominating, is_rdf,
                                  is_secure_dominating, is_wrdf)
 from domguard.solvers import (LimitExceeded, SolverLimits, _lex_dominating_masks,
-                              _SearchTables, chromatic_number, clique_cover,
+                              _k_reach, _SearchTables, chromatic_number, clique_cover,
                               enumerate_gamma_sets, gamma, gamma_k, gamma_roman,
                               gamma_secure, gamma_weak_roman, matching_number, solve,
                               tau, two_packing)
@@ -321,11 +321,11 @@ def test_nodes_explored_pinned(fig1_tree, spider9):
         return gamma_k(g, 2, SolverLimits(kdomination_max_n=20))
 
     cases = [
-        (fig1_tree, (6, 43, 22, 53, 15)),
-        (spider9, (6, 274, 22, 138, 33)),
-        (cartesian_product(path(3), path(3)), (16, 74, 142, 176, 25)),
-        (cartesian_product(cycle(5), complete(2)), (17, 91, 192, 516, 25)),
-        (cartesian_product(cycle(10), complete(2)), (47, 3860, 14151, 195934, 469)),
+        (fig1_tree, (5, 36, 17, 39, 15)),
+        (spider9, (5, 255, 17, 110, 33)),
+        (cartesian_product(path(3), path(3)), (12, 51, 101, 75, 25)),
+        (cartesian_product(cycle(5), complete(2)), (8, 53, 112, 189, 25)),
+        (cartesian_product(cycle(10), complete(2)), (43, 2952, 11137, 7341, 469)),
     ]
     solvers = (gamma, gamma_secure, gamma_weak_roman, gamma_2, two_packing)
     for g, nodes in cases:
@@ -355,6 +355,41 @@ def test_protection_cut_is_sound_all_n6(corpus_all_n6):
                         assert not oracles.naive_is_wrdf(g, values)
                     dropped += 1
     assert dropped == 326
+
+
+@pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
+def test_search_matches_plain_scan(corpus, request):
+    """The dominating-set search against a route that shares no code with
+    it: subsets by size, each size in ``combinations`` order, filtered with
+    the naive oracle.  Same sets, same order, on every graph of the corpus."""
+    for g in request.getfixturevalue(corpus):
+        searched = list(_lex_dominating_masks(_SearchTables(g), range(g.n + 1), [0]))
+        plain = [sum(1 << v for v in c)
+                 for size in range(g.n + 1) for c in combinations(range(g.n), size)
+                 if oracles.naive_is_df(g, set(c))]
+        assert searched == plain, g
+
+
+def test_k_coverage_cut_is_sound_all_n6(corpus_all_n6):
+    """The k-coverage cut of the dominating-set search, on every graph with
+    n <= 6, every set size and k in {1, 2, 3}: the cut search yields an
+    order-preserving subsequence of the uncut one, and every set it drops
+    is not k-dominating."""
+    dropped = 0
+    for g in corpus_all_n6:
+        t = _SearchTables(g)
+        for size in range(g.n + 1):
+            sizes = range(size, size + 1)
+            uncut = list(_lex_dominating_masks(t, sizes, [0]))
+            for k in (1, 2, 3):
+                cut = list(_lex_dominating_masks(t, sizes, [0], reach=_k_reach(g, k)))
+                rest = iter(uncut)
+                assert all(m in rest for m in cut)
+                for smask in set(uncut) - set(cut):
+                    members = {v for v in range(g.n) if smask >> v & 1}
+                    assert not oracles.naive_is_kdom(g, members, k)
+                    dropped += 1
+    assert dropped == 5153
 
 
 # ---------------------------------------------------------------------------
