@@ -10,9 +10,11 @@ cap.  Two snapshots of different trees then compare with ``diff``:
     PYTHONPATH=/path/to/other/src python3 scripts/solver_snapshot.py > before.jsonl
     diff before.jsonl after.jsonl
 
-Each graph then gets one more line, marked ``"via": "InvariantCache"``, for
-each of ``gamma_weak_roman`` and ``gamma_secure`` as the audit computes them
-through ``bounds.InvariantCache``, so the diff also covers the audit's route.
+Each graph then gets one line, marked ``"via": "InvariantCache"``, for
+each of ``gamma_weak_roman`` and ``gamma_secure`` as ``bounds.InvariantCache``
+computes them in the graph's own labels, and one line marked
+``"via": "audit"`` holding ``audit(g).to_json_dict()``, whose values are
+solved in bandwidth order.  So the diff also covers the audit's route.
 
 A change that reshapes a search but keeps its answers shows up as lines
 that differ in ``nodes_explored`` only.  The graph sets, in output order:
@@ -33,7 +35,7 @@ sys.path.insert(0, str(ROOT))
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so another tree's src can win
 
 from bench.workloads import DEFAULT_SEED, random_audit_lines  # noqa: E402
-from domguard.bounds import InvariantCache  # noqa: E402
+from domguard.bounds import InvariantCache, audit  # noqa: E402
 from domguard.graph import cartesian_product, complement, complete, cycle, path  # noqa: E402
 from domguard.graph6 import parse_graph6, write_graph6  # noqa: E402
 from domguard.solvers import INVARIANT_IDS, LimitExceeded, solve  # noqa: E402
@@ -78,6 +80,7 @@ def main() -> None:
             for inv in CACHED:
                 emit({"set": name, "graph6": g6, "invariant": inv, "via": "InvariantCache"},
                      lambda: cache.result(inv))
+            emit({"set": name, "graph6": g6, "via": "audit"}, lambda: audit(g))
 
 
 if __name__ == "__main__":

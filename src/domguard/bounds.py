@@ -7,6 +7,13 @@ against exact invariant values and reports per-bound pass/fail with slack.
 Pair-scope entries (Cartesian-product bounds) are driven by ``product_audit``.
 A failed applicable bound is a build-failing event, surfaced via the report's
 ``passed`` flag and the CLI exit code.
+
+``audit`` and ``nordhaus_gaddum`` solve a graph, and its complement, in
+bandwidth order (``graph.bandwidth_order``): they report values only, and
+values do not depend on labels, while the lex search cuts more when
+neighbors sit close together.  The report still names the input graph.
+``product_audit`` and an ``InvariantCache`` built directly keep the input's
+labels, so their witnesses are the canonical ones that ``solve`` returns.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
-from .graph import (Graph, component_is_complete, complement, has_hamiltonian_cycle,
-                    is_connected, is_cycle_graph, iter_bits, leaf_count, max_degree,
-                    min_degree)
+from .graph import (Graph, VertexSet, bandwidth_order, component_is_complete, complement,
+                    has_hamiltonian_cycle, is_connected, is_cycle_graph, iter_bits, leaf_count,
+                    max_degree, min_degree, relabel)
 from .graph6 import write_graph6
 from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolveResult, SolverLimits, gamma_secure,
                       solve)
@@ -26,10 +33,16 @@ from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolveResult, SolverLimits, 
 class InvariantCache:
     """Lazily computed exact invariants for one graph under a solver budget;
     each invariant is solved at most once and its whole result is kept, and
-    each structural fact is computed once."""
+    each structural fact is computed once.
 
-    def __init__(self, g: Graph, limits: Optional[SolverLimits] = None):
-        self.graph = g
+    With ``banded`` the cache works on ``relabel(g, bandwidth_order(g))``
+    and ``order`` maps its vertices back to g's; its complement cache is
+    banded the same way.  Values do not depend on labels, but witnesses are
+    those of ``graph``, the relabelled graph."""
+
+    def __init__(self, g: Graph, limits: Optional[SolverLimits] = None, banded: bool = False):
+        self.order = bandwidth_order(g) if banded else None
+        self.graph = relabel(g, self.order) if banded else g
         self.limits = limits or DEFAULT_LIMITS
         self._results: dict[str, SolveResult] = {}
         self._complement: Optional["InvariantCache"] = None
@@ -38,7 +51,9 @@ class InvariantCache:
         if key not in self._results:
             if key == "clique_cover" and self.n <= self.limits.chromatic_max_n:
                 # A clique cover of g is a coloring of its complement.
-                res = replace(self.co().result("chromatic"), invariant_id=key)
+                co = self.co()
+                res = co.result("chromatic")
+                res = replace(res, invariant_id=key, witness=co._in_source_labels(res.witness))
             elif key == "gamma_secure" and self.n <= min(self.limits.secure_max_n,
                                                          self.limits.weak_roman_max_n):
                 # γ_s ≥ γ_wr: the secure search starts from the weak Roman result.
@@ -120,8 +135,23 @@ class InvariantCache:
 
     def co(self) -> "InvariantCache":
         if self._complement is None:
-            self._complement = InvariantCache(complement(self.graph), self.limits)
+            self._complement = InvariantCache(complement(self.graph), self.limits,
+                                              self.order is not None)
         return self._complement
+
+    def _in_source_labels(self, sets: tuple[VertexSet, ...]) -> tuple[VertexSet, ...]:
+        """Vertex sets of ``graph`` in the labels of the graph the cache was
+        built from, ordered by smallest member."""
+        if self.order is None:
+            return sets
+        masks = []
+        for s in sets:
+            m = 0
+            for v in s:
+                m |= 1 << self.order[v]
+            masks.append(m)
+        masks.sort(key=lambda m: m & -m)
+        return tuple(VertexSet(m, self.n) for m in masks)
 
 
 class Inapplicable(Exception):
@@ -496,8 +526,13 @@ def _evaluate(spec: BoundSpec, cache) -> BoundRow:
 
 
 def audit(g: Graph, limits: Optional[SolverLimits] = None) -> BoundReport:
-    """Evaluate every applicable graph-scope bound against exact values."""
-    cache = InvariantCache(g, limits)
+    """Evaluate every applicable graph-scope bound against exact values.
+    The values are solved in bandwidth order; the report names g itself."""
+    return _audit_report(g, InvariantCache(g, limits, banded=True))
+
+
+def _audit_report(g: Graph, cache: InvariantCache) -> BoundReport:
+    """The audit of g from a cache of g or of a relabelling of g."""
     rows = []
     incomplete = False
     for spec in _REGISTRY:
@@ -634,8 +669,12 @@ _NG_CHECKS = {
 def nordhaus_gaddum(g: Graph, limits: Optional[SolverLimits] = None) -> dict:
     """Weak Roman / secure values on a graph and its complement with every
     sum/product check of the registry's ``ng_*`` rows, including the refined
-    small-degree variant."""
-    cache = InvariantCache(g, limits)
+    small-degree variant.  The values are solved in bandwidth order."""
+    return _ng_record(InvariantCache(g, limits, banded=True))
+
+
+def _ng_record(cache: InvariantCache) -> dict:
+    """The Nordhaus-Gaddum record of the cache's graph."""
     co = cache.co()
     # solved up front so an over-budget graph raises LimitExceeded here
     wr, sec = cache.value("gamma_weak_roman"), cache.value("gamma_secure")
@@ -644,7 +683,7 @@ def nordhaus_gaddum(g: Graph, limits: Optional[SolverLimits] = None) -> dict:
     side = cache.refined_ng_side
     checks = {_NG_CHECKS[rid]: row.holds for rid, row in rows.items() if row.applicable}
     return {
-        "n": g.n,
+        "n": cache.n,
         "gamma_weak_roman": wr,
         "gamma_secure": sec,
         "gamma_weak_roman_complement": wr_c,

@@ -51,14 +51,25 @@ class Graph:
                 raise GraphError(f"loop at vertex {u} not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self.n = n
-        self.adj = tuple(rows)
-        self.closed = tuple(r | (1 << v) for v, r in enumerate(rows))
-        if labels is not None:
-            if len(labels) != n:
-                raise GraphError("labels length must equal vertex count")
-            labels = tuple(labels)
-        self.labels = labels
+        if labels is not None and len(labels) != n:
+            raise GraphError("labels length must equal vertex count")
+        self._fill(rows, labels)
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[int], labels: Optional[Sequence[str]] = None) -> "Graph":
+        """A graph on adjacency rows that are already symmetric and loop-free."""
+        g = object.__new__(cls)
+        g._fill(rows, labels)
+        return g
+
+    def _fill(self, rows: Sequence[int], labels: Optional[Sequence[str]]) -> None:
+        # Set the slots directly: the immutability guard in __setattr__
+        # would make each assignment several times slower.
+        fill = object.__setattr__
+        fill(self, "n", len(rows))
+        fill(self, "adj", tuple(rows))
+        fill(self, "closed", tuple([r | 1 << v for v, r in enumerate(rows)]))
+        fill(self, "labels", None if labels is None else tuple(labels))
 
     # Mutation is blocked after __init__ populates the slots.
     def __setattr__(self, name, value):
@@ -323,11 +334,61 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    edges = []
-    for u in range(g.n):
-        row = ~g.adj[u] & full & ~((1 << (u + 1)) - 1)
-        edges.extend((u, v) for v in iter_bits(row))
-    return Graph(g.n, edges, g.labels)
+    return Graph._from_rows([full & ~r & ~(1 << v) for v, r in enumerate(g.adj)], g.labels)
+
+
+def relabel(g: Graph, order: Sequence[int]) -> Graph:
+    """The graph with vertex i standing for vertex ``order[i]`` of g.
+
+    ``order`` must be a permutation of 0..n-1; labels, when present, travel
+    with their vertices.  Relabelling the result by the inverse permutation
+    gives back g.
+    """
+    n, adj = g.n, g.adj
+    if sorted(order) != list(range(n)):
+        raise GraphError(f"relabel order is not a permutation of 0..{n - 1}")
+    bit = [0] * n
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    rows = []
+    for v in order:
+        m, row = adj[v], 0
+        while m:
+            low = m & -m
+            row |= bit[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return Graph._from_rows(rows, None if g.labels is None else [g.labels[v] for v in order])
+
+
+def bandwidth_order(g: Graph) -> list[int]:
+    """Reverse Cuthill-McKee order of g: adjacent vertices get nearby indices.
+
+    Vertices are ranked by (degree, index).  Each component is walked
+    breadth first from its first vertex in rank order, each vertex queueing
+    its unvisited neighbors in rank order, and the components come in the
+    order of their first vertices.  The whole walk is then reversed
+    (Cuthill and McKee 1969; George 1971).  The order depends only on g, so
+    ``relabel(g, bandwidth_order(g))`` is deterministic.
+    """
+    adj = g.adj
+    rank = sorted(range(g.n), key=lambda v: adj[v].bit_count())
+    walk: list[int] = []
+    seen = 0
+    for root in rank:
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        head = len(walk)
+        walk.append(root)
+        while head < len(walk):
+            fresh = adj[walk[head]] & ~seen
+            head += 1
+            if fresh:
+                seen |= fresh
+                walk.extend([v for v in rank if fresh >> v & 1])
+    walk.reverse()
+    return walk
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:

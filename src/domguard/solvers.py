@@ -313,16 +313,19 @@ def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveRes
     k-dominating set.  For k >= 1 every k-dominating set dominates, so one
     pass over the dominating sets in canonical order (size ascending, then
     lex) checks each with ``kdom_mask``, starting at the number of vertices of
-    degree below k, which every k-dominating set must hold.  The search takes
-    the k-coverage cut, which drops only sets that are not k-dominating.
-    Each set is one node, and the first hit is the witness."""
+    degree below k, which every k-dominating set must hold.  For k >= 2 the
+    search takes the k-coverage cut, which drops only sets that are not
+    k-dominating.  Each set is one node, and the first hit is the witness."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check(limits, f"gamma_{k}", g.n, "kdomination_max_n")
     counter = [0]
     forced = sum(1 for v in range(g.n) if g.degree(v) < k)
+    # For k = 1 the child bound already keeps every uncovered vertex within
+    # reach of a later pick, so the k-coverage cut would never fire.
+    reach = _k_reach(g, k) if k > 1 else None
     for mask in _lex_dominating_masks(_SearchTables(g), range(forced, g.n + 1), counter,
-                                      reach=_k_reach(g, k)):
+                                      reach=reach):
         counter[0] += 1
         if kdom_mask(g, mask, k):
             return SolveResult(f"gamma_{k}", mask.bit_count(), VertexSet(mask, g.n), counter[0])

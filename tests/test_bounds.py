@@ -1,15 +1,50 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
-from domguard.bounds import (BoundReport, InvariantCache, audit, conjecture_scan,
-                             family_value, nordhaus_gaddum, product_audit, registry)
-from domguard.graph import (Graph, cartesian_product, complement, complete,
-                            component_is_complete, corona, cycle, empty, join, path, star)
-from domguard.solvers import SolverLimits, gamma, gamma_roman, gamma_secure, gamma_weak_roman
+from domguard.bounds import (BoundReport, InvariantCache, _audit_report, _ng_record, audit,
+                             conjecture_scan, family_value, nordhaus_gaddum, product_audit,
+                             registry)
+from domguard.graph import (Graph, bandwidth_order, cartesian_product, complement, complete,
+                            component_is_complete, corona, cycle, empty, join, path, relabel,
+                            star)
+from domguard.protection import (is_df, is_k_dominating, is_rdf, is_secure_dominating,
+                                 is_wrdf)
+from domguard.solvers import (SolverLimits, gamma, gamma_roman, gamma_secure, gamma_weak_roman,
+                              twin_shadow_mask)
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph
+
+
+def assert_witness_verifies(g: Graph, res) -> None:
+    """The witness of an audit result is a valid witness on g of its value."""
+    key, value, w = res.invariant_id, res.value, res.witness
+    if key in ("gamma_roman", "gamma_weak_roman"):
+        assert w.graph == g and w.weight() == value
+        assert (is_rdf if key == "gamma_roman" else is_wrdf)(g, w)
+    elif key in ("chromatic", "clique_cover"):
+        # Classes of total size n that cover every vertex partition V.
+        assert len(w) == value and sum(len(cls) for cls in w) == g.n
+        assert set().union(*w) == set(range(g.n))
+        for cls in w:
+            for u, v in combinations(cls, 2):
+                assert g.has_edge(u, v) == (key == "clique_cover"), (key, u, v)
+    elif key == "matching":
+        assert len(w) == value == len({x for e in w for x in e}) // 2
+        assert all(g.has_edge(u, v) for u, v in w)
+    elif key == "two_packing":
+        assert len(w) == value
+        assert all(not g.closed[u] & g.closed[v] for u, v in combinations(w, 2))
+    elif key == "tau":
+        assert is_df(g, w) and len(w) == gamma(g).value
+        assert twin_shadow_mask(g, w.bits).bit_count() == value
+    elif key == "gamma_2":
+        assert len(w) == value and is_k_dominating(g, w, 2)
+    else:
+        verify = {"gamma": is_df, "gamma_secure": is_secure_dominating}[key]
+        assert len(w) == value and verify(g, w), key
 
 
 def rows_by_id(report: BoundReport) -> dict:
@@ -120,14 +155,21 @@ class TestAudit:
 
         monkeypatch.setattr(solvers, "_lex_dominating_masks", counted_search)
         monkeypatch.setattr(bounds_mod, "gamma_secure", traced_secure)
-        # C9's weak Roman witness 1,0,1,0,1,0,1,0,0 has no two-guard vertex.
+        # The audit searches each graph in bandwidth order.
+        c9 = relabel(cycle(9), bandwidth_order(cycle(9)))
+        # That C9's weak Roman witness 1,0,0,1,1,0,0,1,0 has no two-guard vertex.
+        wr = gamma_weak_roman(c9)
+        assert wr.witness.two_mask == 0 and wr.value == 4
         rep = audit(cycle(9))
-        assert [sizes for g, sizes in calls if g == cycle(9)] == [[]]
-        assert rep.invariants["gamma_secure"] == 4
+        assert [sizes for g, sizes in calls if g == c9] == [[]]
+        assert rep.invariants["gamma_secure"] == wr.value
         calls.clear()
-        # P5's witness 1,0,0,2,0 has one, so the search starts at size 3.
+        # P5's witness 1,0,0,2,0 has one, so the search starts at size γ_wr = 3.
+        p5 = relabel(path(5), bandwidth_order(path(5)))
+        wr = gamma_weak_roman(p5)
+        assert wr.witness.two_mask != 0 and wr.value == 3
         rep = audit(path(5))
-        assert [sizes for g, sizes in calls if g == path(5)] == [[range(3, 6)]]
+        assert [sizes for g, sizes in calls if g == p5] == [[range(wr.value, 6)]]
         assert rep.invariants["gamma_secure"] == 3
 
     def test_secure_budget_with_weak_roman_start(self):
@@ -189,6 +231,30 @@ class TestInvariantCache:
             for g in (g0, complement(g0)):
                 res, alone = InvariantCache(g).result("gamma_secure"), gamma_secure(g)
                 assert (res.value, res.witness) == (alone.value, alone.witness), g
+
+    def test_bandwidth_route_matches_canonical_labels(self, corpus_all_n6,
+                                                      corpus_connected_n7):
+        # InvariantCache(g) keeps g's labels, and so does its complement cache.
+        for g in corpus_all_n6 + corpus_connected_n7:
+            canonical = InvariantCache(g)
+            assert canonical.graph is g and canonical.co().order is None
+            assert audit(g).to_json_dict() == _audit_report(g, canonical).to_json_dict()
+            assert nordhaus_gaddum(g) == _ng_record(InvariantCache(g))
+        rng = random.Random(20261018)
+        for _ in range(6):
+            g = random_graph(rng, rng.randint(12, 16), rng.choice((0.2, 0.35, 0.5, 0.7)))
+            assert audit(g).to_json_dict() == _audit_report(g, InvariantCache(g)).to_json_dict()
+
+    def test_banded_cache_witnesses_are_in_its_labels(self, corpus_all_n6):
+        for g in corpus_all_n6:
+            cache = InvariantCache(g, banded=True)
+            assert cache.graph == relabel(g, cache.order)
+            _audit_report(g, cache)
+            assert {"gamma", "gamma_secure", "clique_cover"} <= set(cache.computed_values())
+            cache.co().result("clique_cover")  # colors the complement of the complement
+            for c in (cache, cache.co()):
+                for key in c.computed_values():
+                    assert_witness_verifies(c.graph, c.result(key))
 
 
 class TestFamilyValue:

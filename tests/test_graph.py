@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domguard.graph import (VERTEX_CAP, Graph, GraphError, VertexSet, cartesian_product,
-                            complement, complete, component_is_complete, corona, cycle,
-                            empty, generate, hamming, has_hamiltonian_cycle, hypercube,
-                            is_connected, is_cycle_graph, is_tree, join, leaf_count,
-                            max_degree, min_degree, path, remove_edge, spanning_tree,
-                            star)
+from domguard.graph import (VERTEX_CAP, Graph, GraphError, VertexSet, bandwidth_order,
+                            cartesian_product, complement, complete, component_is_complete,
+                            corona, cycle, empty, generate, hamming, has_hamiltonian_cycle,
+                            hypercube, is_connected, is_cycle_graph, is_tree, join, leaf_count,
+                            max_degree, min_degree, path, relabel, remove_edge,
+                            spanning_tree, star)
 from domguard.oracles import naive_is_hamiltonian
 
 from conftest import random_graph
@@ -197,7 +197,11 @@ class TestOperators:
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_complement_involution(self, g):
-        assert complement(complement(g)) == g
+        co = complement(g)
+        assert complement(co) == g
+        assert all(co.has_edge(u, v) != g.has_edge(u, v)
+                   for u in range(g.n) for v in range(g.n) if u != v)
+        assert not any(co.has_edge(v, v) for v in range(g.n))
 
     def test_remove_edge(self):
         g = remove_edge(path(3), 1, 2)
@@ -230,6 +234,56 @@ class TestOperators:
     def test_spanning_tree_requires_connected(self):
         with pytest.raises(GraphError):
             spanning_tree(Graph(4, [(0, 1), (2, 3)]), 0)
+
+
+def bandwidth(g: Graph) -> int:
+    return max((v - u for u, v in g.edges()), default=0)
+
+
+def degrees(g: Graph) -> list[int]:
+    return sorted(g.degree(v) for v in range(g.n))
+
+
+class TestBandwidthOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=10))
+    def test_permutation_deterministic_and_relabel_inverts(self, g):
+        order = bandwidth_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert bandwidth_order(Graph(g.n, g.edges())) == order
+        h = relabel(g, order)
+        assert h.edge_count == g.edge_count and degrees(h) == degrees(g)
+        assert all(h.has_edge(i, j) == g.has_edge(order[i], order[j])
+                   for i in range(g.n) for j in range(g.n))
+        inverse = [0] * g.n
+        for i, v in enumerate(order):
+            inverse[v] = i
+        assert relabel(h, inverse) == g
+
+    def test_tiny_and_disconnected(self):
+        assert bandwidth_order(Graph(0)) == [] and relabel(Graph(0), []) == Graph(0)
+        assert bandwidth_order(Graph(1)) == [0]
+        # Rank 6, 1, 2, 3, 4, 5, 0 by (degree, index): the walk from 6, then
+        # from 1 (queueing 0, which queues 2 and 3), then from 4, reversed.
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5)])
+        assert bandwidth_order(g) == [5, 4, 3, 2, 0, 1, 6]
+        assert bandwidth(relabel(g, bandwidth_order(g))) == 2
+
+    def test_shuffled_path_comes_back_with_bandwidth_one(self):
+        rng = random.Random(11)
+        for n in (2, 5, 12, 30):
+            labels = list(range(n))
+            rng.shuffle(labels)
+            g = Graph(n, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+            assert bandwidth(relabel(g, bandwidth_order(g))) == 1
+
+    def test_relabel_moves_labels_and_rejects_non_permutations(self):
+        g = corona(path(2), 1)
+        h = relabel(g, [3, 2, 1, 0])
+        assert [h.label(v) for v in range(4)] == [g.label(v) for v in (3, 2, 1, 0)]
+        for bad in ([0, 1, 2], [0, 1, 2, 2], [1, 2, 3, 4]):
+            with pytest.raises(GraphError):
+                relabel(g, bad)
 
 
 class TestQueries:

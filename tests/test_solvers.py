@@ -91,6 +91,11 @@ class TestGammaK:
                 assert res.value == value
                 assert res.witness.members() == tuple(sorted(members))
 
+    def test_k1_is_domination(self, corpus_all_n6):
+        for g in corpus_all_n6:
+            one, plain = gamma_k(g, 1), gamma(g)
+            assert (one.value, one.witness) == (plain.value, plain.witness), g
+
 
 class TestGammaRoman:
     @pytest.mark.parametrize("t", range(2, 7))
