@@ -24,6 +24,12 @@ that differ in ``nodes_explored`` only.  The graph sets, in output order:
   random    the random_audit graphs of bench/workloads.py for its default
             seed (312 graphs), each followed by its complement
   prisms    C12xK2, C14xK2, P5xP5 and P4xP6
+
+Last come single solves on large symmetric graphs, one line each, which the
+sets above barely reach: ``gamma_secure`` of the prism conjecture scan's
+graphs, C_t x K2 for t = 3..14 and P_t x K2 for t = 2..14 (set
+``conjecture``), and ``gamma_weak_roman`` of C16xK2 under a raised order cap
+(set ``frontier``).
 """
 
 import json
@@ -38,7 +44,7 @@ from bench.workloads import DEFAULT_SEED, random_audit_lines  # noqa: E402
 from domguard.bounds import InvariantCache, audit  # noqa: E402
 from domguard.graph import cartesian_product, complement, complete, cycle, path  # noqa: E402
 from domguard.graph6 import parse_graph6, write_graph6  # noqa: E402
-from domguard.solvers import INVARIANT_IDS, LimitExceeded, solve  # noqa: E402
+from domguard.solvers import INVARIANT_IDS, LimitExceeded, SolverLimits, solve  # noqa: E402
 
 SETS = ("all6", "corpus7", "random", "prisms")
 CACHED = ("gamma_weak_roman", "gamma_secure")
@@ -62,6 +68,16 @@ def graphs(name: str):
         yield cartesian_product(path(4), path(6))
 
 
+def symmetric_solves():
+    """(set, graph, invariant, limits) of the single solves that come last."""
+    for t in range(3, 15):
+        yield "conjecture", cartesian_product(cycle(t), complete(2)), "gamma_secure", None
+    for t in range(2, 15):
+        yield "conjecture", cartesian_product(path(t), complete(2)), "gamma_secure", None
+    yield ("frontier", cartesian_product(cycle(16), complete(2)), "gamma_weak_roman",
+           SolverLimits(weak_roman_max_n=32))
+
+
 def emit(line: dict, compute) -> None:
     try:
         line["result"] = compute().to_json_dict()
@@ -81,6 +97,9 @@ def main() -> None:
                 emit({"set": name, "graph6": g6, "invariant": inv, "via": "InvariantCache"},
                      lambda: cache.result(inv))
             emit({"set": name, "graph6": g6, "via": "audit"}, lambda: audit(g))
+    for name, g, inv, limits in symmetric_solves():
+        emit({"set": name, "graph6": write_graph6(g), "invariant": inv},
+             lambda: solve(g, inv, limits))
 
 
 if __name__ == "__main__":

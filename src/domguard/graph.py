@@ -123,8 +123,10 @@ class VertexSet:
             raise GraphError(f"universe {universe} out of range")
         if bits < 0 or bits >> universe:
             raise GraphError(f"bitmask {bits:#x} has members outside 0..{universe - 1}")
-        self.bits = bits
-        self.universe = universe
+        # Set the slots directly, as Graph._fill does: the guard in
+        # __setattr__ would make each assignment several times slower.
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "universe", universe)
 
     def __setattr__(self, name, value):
         if hasattr(self, "universe"):
@@ -389,6 +391,122 @@ def bandwidth_order(g: Graph) -> list[int]:
                 walk.extend([v for v in rank if fresh >> v & 1])
     walk.reverse()
     return walk
+
+
+def _equitable_cells(g: Graph) -> Optional[list[int]]:
+    """The coarsest equitable partition of g by color refinement, as the
+    mask of each vertex's cell; None when it is discrete.
+
+    Vertices start colored by degree, and each round splits a cell by how
+    many neighbors its vertices have in every cell, until no cell splits.
+    Colors are ranks of these counts, so they do not depend on labels and
+    every automorphism maps each cell onto itself.
+    """
+    n, adj = g.n, g.adj
+    count = int.bit_count
+    color = list(map(count, adj))
+    while True:
+        cells: dict = {}
+        for v, c in enumerate(color):
+            cells[c] = cells.get(c, 0) | 1 << v
+        if len(cells) == n:
+            return None
+        # One column of neighbor counts per cell, zipped into a row per vertex.
+        sig = list(zip(color, *[map(count, map(cells[c].__and__, adj)) for c in sorted(cells)]))
+        distinct = set(sig)
+        if len(distinct) == len(cells):
+            return [cells[c] for c in color]
+        if len(distinct) == n:
+            return None
+        rank = {s: i for i, s in enumerate(sorted(distinct))}
+        color = [rank[s] for s in sig]
+
+
+def automorphisms(g: Graph, limit: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Automorphisms of g as image tuples (``sigma[v]`` is the image of v),
+    at most ``limit`` of them (default 4n); for a larger group the list is a
+    subset of it.
+
+    Color refinement first gives the coarsest equitable partition, whose
+    cells every automorphism maps onto themselves (McKay and Piperno,
+    *Practical graph isomorphism, II*, 2014).  When it is discrete only the
+    identity is left.  Otherwise a backtracking search maps the vertices of
+    the non-singleton cells one at a time, in breadth-first order, each onto
+    an unused vertex of its cell that is adjacent to the images of exactly
+    its mapped neighbors.  Singleton cells stay fixed: the partition is
+    equitable, so cell-mates agree on every singleton neighbor.  Each
+    complete map is checked edge by edge before it is kept.
+    """
+    n, adj = g.n, g.adj
+    limit = max(4 * n, 1) if limit is None else limit
+    cell = _equitable_cells(g)
+    if cell is None:
+        return [tuple(range(n))]
+    movable = 0
+    for v in range(n):
+        if cell[v] != 1 << v:
+            movable |= 1 << v
+    order: list[int] = []
+    seen = 0
+    for root in range(n):
+        if not movable >> root & 1 or seen >> root & 1:
+            continue
+        seen |= 1 << root
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            fresh = adj[order[head]] & movable & ~seen
+            head += 1
+            seen |= fresh
+            order.extend(iter_bits(fresh))
+    edges = list(g.edges())
+    # before[d]: the vertices order[:d]; used[d]: their images.
+    before = [0] * (len(order) + 1)
+    for d, v in enumerate(order):
+        before[d + 1] = before[d] | 1 << v
+    used = [0] * (len(order) + 1)
+    img = list(range(n))
+    found: list[tuple[int, ...]] = []
+
+    stack = [(0, cell[order[0]])]
+    while stack:
+        d, cand = stack.pop()
+        if not cand:
+            continue
+        low = cand & -cand
+        stack.append((d, cand ^ low))
+        img[order[d]] = low.bit_length() - 1
+        d += 1
+        used[d] = used[d - 1] | low
+        if d < len(order):
+            # The next vertex may go to an unused cell-mate adjacent to the
+            # images of all its mapped neighbors.  The count also drops one
+            # adjacent to the image of a mapped non-neighbor: such a branch
+            # can never complete, and on regular graphs, where refinement
+            # splits nothing, walking it costs about ten times more.
+            v = order[d]
+            mapped = adj[v] & before[d]
+            cand = cell[v] & ~used[d]
+            m = mapped
+            while m and cand:
+                low = m & -m
+                cand &= adj[img[low.bit_length() - 1]]
+                m ^= low
+            m, cand = cand, 0
+            while m:
+                low = m & -m
+                if (adj[low.bit_length() - 1] & used[d]).bit_count() == mapped.bit_count():
+                    cand |= low
+                m ^= low
+            stack.append((d, cand))
+            continue
+        sigma = tuple(img)
+        if len(set(sigma)) != n or not all(adj[sigma[a]] >> sigma[b] & 1 for a, b in edges):
+            raise AssertionError(f"search produced a non-automorphism {sigma}")
+        found.append(sigma)
+        if len(found) == limit:
+            break
+    return found
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:

@@ -52,10 +52,13 @@ class GuardFunction:
                 support |= 1 << v
             if x == 2:
                 twos |= 1 << v
-        self.graph = graph
-        self.values = vals
-        self.support_mask = support
-        self.two_mask = twos
+        # Set the slots directly, as Graph._fill does: the guard in
+        # __setattr__ would make each assignment several times slower.
+        fill = object.__setattr__
+        fill(self, "graph", graph)
+        fill(self, "values", vals)
+        fill(self, "support_mask", support)
+        fill(self, "two_mask", twos)
 
     def __setattr__(self, name, value):
         if hasattr(self, "two_mask"):

@@ -9,7 +9,8 @@ set, at the smallest feasible support size).
 
 Domination, k-domination, secure and weak Roman domination, tau and the
 gamma-set list all come from one lex-ordered dominating-set search
-(``_lex_dominating_masks``), whose per-graph tables each solver builds once.
+(``_lex_dominating_masks``), whose per-graph tables are built once and kept
+for the last few graphs, so the solvers of one graph share them.
 A node of that search is a partial set; every node it pops counts once in
 ``nodes_explored``, and a solver that tests the sets it yields counts each
 tested set once more.  Each solver runs one search: the witness is the first
@@ -22,6 +23,17 @@ of the uncut search.  The k-domination solver likewise cuts a partial set
 once a vertex it leaves out can no longer reach k chosen neighbors.  Every
 solver's search pushes a last pick only if it covers everything still
 uncovered.
+
+The solvers that stop at a first hit (γ, k-domination, weak Roman with its
+γ pre-pass, secure) also take an orbit cut on the first two picks of graphs
+of order at least ``ORBIT_CUT_MIN_N``.  A pick j is skipped when an
+automorphism σ that fixes the picks so far maps j lower.  Every index below
+j is decided, so each completion S has σ(S) <lex S, and σ(S) passes the
+same test as S: the lex-least hit, the least of its orbit, is never cut,
+so values and witnesses are those of the uncut search.  The automorphisms
+come from ``graph.automorphisms``, once per graph.  Smaller graphs skip
+the cut: their searches are too small to pay for the automorphism search.
+The γ-set list and tau need every minimum set and never take the cut.
 
 ``gamma_secure`` can start from the graph's weak Roman result, as the
 audit's ``InvariantCache`` does: γ_s ≥ γ_wr, so its search begins at size
@@ -37,10 +49,11 @@ hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graph import Graph, VertexSet, complement, iter_bits
+from .graph import Graph, VertexSet, automorphisms, complement, iter_bits
 from .protection import GuardFunction, kdom_mask, unsafe_zeros
 
 
@@ -117,18 +130,63 @@ def _check(limits: Optional[SolverLimits], invariant: str, n: int, limit_name: s
 # Dominating-set enumeration kernels.
 # ---------------------------------------------------------------------------
 
+# Graphs below this order skip the orbit cut: their searches are too small
+# for the cut to pay for the automorphism search.  On the 996 connected
+# graphs of order up to 7, the cut takes the four first-hit searches from
+# 81,694 to 69,985 nodes, but their time rises by about half.
+ORBIT_CUT_MIN_N = 16
+
+
+def _orbit_minima(n: int, elements: Sequence[tuple[int, ...]]) -> int:
+    """The vertices that are the least of their orbit under the group that
+    ``elements`` generate."""
+    minima = seen = 0
+    for v in range(n):
+        if seen >> v & 1:
+            continue
+        minima |= 1 << v
+        seen |= 1 << v
+        todo = [v]
+        while todo:
+            x = todo.pop()
+            for sigma in elements:
+                y = sigma[x]
+                if not seen >> y & 1:
+                    seen |= 1 << y
+                    todo.append(y)
+    return minima
+
+
+def _orbit_masks(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The tables of the orbit cut, ``(first, second)``, or None when
+    ``automorphisms(g)`` finds only the identity.  ``first`` holds the
+    vertices that are the least of their orbit; for p in ``first``,
+    ``second[p]`` holds those that are the least of their orbit under the
+    elements fixing p (0 for other p)."""
+    group = automorphisms(g)
+    if len(group) < 2:
+        return None
+    first = _orbit_minima(g.n, group)
+    second = [0] * g.n
+    for p in iter_bits(first):
+        second[p] = _orbit_minima(g.n, [sigma for sigma in group if sigma[p] == p])
+    return first, tuple(second)
+
+
 class _SearchTables:
     """Per-graph tables of the dominating-set search.  They depend only on
-    the graph, so a solver builds them once and reuses them for every size
-    range it enumerates.
+    the graph, so they are built once (see ``_tables``) and reused for every
+    search and size range on it.
 
     ``suffix[i]`` holds the vertices that some pick at index >= i can still
     cover.  Its complement holds the vertices whose closed neighborhood lies
     wholly below ``i``: once the search has passed ``i`` their guards are
     final.  ``ball2[u]`` holds the vertices within distance two of ``u``.
+    ``orbits`` is ``_orbit_masks(g)`` for graphs of order at least
+    ``ORBIT_CUT_MIN_N``, and None for smaller ones.
     """
 
-    __slots__ = ("g", "maxcov", "suffix", "ball2")
+    __slots__ = ("g", "maxcov", "suffix", "ball2", "orbits")
 
     def __init__(self, g: Graph):
         n, closed = g.n, g.closed
@@ -141,11 +199,21 @@ class _SearchTables:
         for u in range(n):
             for x in iter_bits(closed[u]):
                 ball2[u] |= closed[x]
+        self.orbits = _orbit_masks(g) if n >= ORBIT_CUT_MIN_N else None
+
+
+@lru_cache(maxsize=8)
+def _tables(g: Graph) -> _SearchTables:
+    """The search tables of g, kept for the last few graphs: the audit runs
+    up to five searches on each graph, and each would build the same tables
+    and search for the same automorphisms.  Searches only read them."""
+    return _SearchTables(g)
 
 
 def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                           allowance: Optional[Callable[[int], int]] = None,
-                          reach: Optional[list[tuple[int, int]]] = None) -> Iterator[int]:
+                          reach: Optional[list[tuple[int, int]]] = None,
+                          orbits: Optional[tuple[int, Sequence[int]]] = None) -> Iterator[int]:
     """Dominating sets with a size in ``sizes``: size ascending, then in
     lexicographic order of their sorted member tuples.  The first set yielded
     over ``range(g.n + 1)`` is the lex-least minimum dominating set.
@@ -185,6 +253,19 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     cut drops no set that some two-guard class of size k makes weak Roman,
     and the sets it keeps stay in order, so a solver's first hit is
     unchanged.
+
+    ``orbits``, when given, is ``t.orbits`` and turns on the orbit cut at
+    the top of the search: the root's children skip every ``j`` outside
+    ``first``, and the children of a node whose one pick is p skip every
+    ``j`` outside ``second[p]``.  A skipped ``j`` has an automorphism σ
+    that fixes the picks so far and maps ``j`` lower.  Every index below
+    ``j`` is decided, so every completion S has σ(S) <lex S: min(S Δ σ(S))
+    lies in σ(S), below ``j``.  Domination, k-domination and the secure and
+    weak Roman conditions are invariant under σ, so the lex-least set of a
+    size that passes a solver's test, the least of its orbit, is never cut,
+    and the sets kept stay in order: a solver's first hit is unchanged.  A
+    search that must yield every set, such as the γ-set list, does not
+    pass it.  Deeper nodes never read it.
     """
     n, full, closed, adj = t.g.n, t.g.full_mask, t.g.closed, t.g.adj
     maxcov, suffix, ball2 = t.maxcov, t.suffix, t.ball2
@@ -259,6 +340,8 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
             # the j that cover all of them); push them so that the lowest j
             # is popped first.
             if r == 1:
+                if orbits is not None and size - r < 2:
+                    last &= orbits[0] if r == size else orbits[1][i - 1]
                 while last:
                     j = last.bit_length() - 1
                     last ^= 1 << j
@@ -268,6 +351,14 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
             end = i
             while end <= n - r and not unc & ~suffix[end]:
                 end += 1
+            if orbits is not None and size - r < 2:
+                # The root's or a depth-1 node's children: the orbit cut.
+                top = orbits[0] if r == size else orbits[1][i - 1]
+                for j in range(end - 1, i - 1, -1):
+                    if top >> j & 1:
+                        push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
+                              j + 1, r - 1, i, used, hits))
+                continue
             for j in range(end - 1, i - 1, -1):
                 push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
                       j + 1, r - 1, i, used, hits))
@@ -275,7 +366,8 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
 
 def _domination_number(t: _SearchTables, counter: list[int]) -> int:
     """γ(g): the size of the first dominating set of the lex-ordered search."""
-    return next(_lex_dominating_masks(t, range(t.g.n + 1), counter)).bit_count()
+    return next(_lex_dominating_masks(t, range(t.g.n + 1), counter,
+                                      orbits=t.orbits)).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +378,8 @@ def gamma(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Domination number with the lexicographically least minimum dominating set."""
     _check(limits, "gamma", g.n, "domination_max_n")
     counter = [0]
-    witness = next(_lex_dominating_masks(_SearchTables(g), range(g.n + 1), counter))
+    t = _tables(g)
+    witness = next(_lex_dominating_masks(t, range(g.n + 1), counter, orbits=t.orbits))
     return SolveResult("gamma", witness.bit_count(), VertexSet(witness, g.n), counter[0])
 
 
@@ -324,8 +417,9 @@ def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveRes
     # For k = 1 the child bound already keeps every uncovered vertex within
     # reach of a later pick, so the k-coverage cut would never fire.
     reach = _k_reach(g, k) if k > 1 else None
-    for mask in _lex_dominating_masks(_SearchTables(g), range(forced, g.n + 1), counter,
-                                      reach=reach):
+    t = _tables(g)
+    for mask in _lex_dominating_masks(t, range(forced, g.n + 1), counter, reach=reach,
+                                      orbits=t.orbits):
         counter[0] += 1
         if kdom_mask(g, mask, k):
             return SolveResult(f"gamma_{k}", mask.bit_count(), VertexSet(mask, g.n), counter[0])
@@ -346,7 +440,8 @@ def _lex_wrdf(t: _SearchTables, weight: int, supports: range,
     vertices makes weak Roman.
     """
     g = t.g
-    for smask in _lex_dominating_masks(t, supports, counter, lambda size: weight - size):
+    for smask in _lex_dominating_masks(t, supports, counter, lambda size: weight - size,
+                                       orbits=t.orbits):
         unsafe = list(unsafe_zeros(g, smask))
         members = list(iter_bits(smask))
         for dcombo in combinations(members, weight - smask.bit_count()):
@@ -387,8 +482,9 @@ def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None,
                                VertexSet(f.support_mask, g.n), 0)
         start = weak_roman.value
     counter = [0]
-    for smask in _lex_dominating_masks(_SearchTables(g), range(start, g.n + 1), counter,
-                                       lambda size: 0):
+    t = _tables(g)
+    for smask in _lex_dominating_masks(t, range(start, g.n + 1), counter, lambda size: 0,
+                                       orbits=t.orbits):
         counter[0] += 1
         if next(unsafe_zeros(g, smask), None) is None:
             return SolveResult("gamma_secure", smask.bit_count(), VertexSet(smask, g.n),
@@ -408,7 +504,7 @@ def gamma_weak_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     """
     _check(limits, "gamma_weak_roman", g.n, "weak_roman_max_n")
     counter = [0]
-    t = _SearchTables(g)
+    t = _tables(g)
     gval = _domination_number(t, counter)
     for weight in range(gval, 2 * gval + 1):
         supports = range(max((weight + 1) // 2, gval), weight + 1)
@@ -603,7 +699,7 @@ def enumerate_gamma_sets(g: Graph, limits: Optional[SolverLimits] = None) -> lis
     """All minimum dominating sets, in ascending (lexicographic) order."""
     _check(limits, "gamma_sets", g.n, "gamma_sets_max_n")
     counter = [0]
-    t = _SearchTables(g)
+    t = _tables(g)
     gval = _domination_number(t, counter)
     return [VertexSet(m, g.n) for m in _lex_dominating_masks(t, range(gval, gval + 1), counter)]
 
@@ -630,7 +726,7 @@ def tau(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     maximizing set (lexicographically least on ties)."""
     _check(limits, "tau", g.n, "gamma_sets_max_n")
     counter = [0]
-    t = _SearchTables(g)
+    t = _tables(g)
     gval = _domination_number(t, counter)
     best = -1
     best_mask = 0

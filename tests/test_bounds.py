@@ -140,10 +140,10 @@ class TestAudit:
         inside = []
         search, secure = solvers._lex_dominating_masks, bounds_mod.gamma_secure
 
-        def counted_search(t, sizes, counter, allowance=None, reach=None):
+        def counted_search(t, sizes, counter, allowance=None, reach=None, orbits=None):
             if inside:
                 calls[-1][1].append(sizes)
-            return search(t, sizes, counter, allowance, reach)
+            return search(t, sizes, counter, allowance, reach, orbits)
 
         def traced_secure(g, *args):
             calls.append((g, []))

@@ -378,6 +378,37 @@ def test_commands_are_deterministic():
         assert first == second
 
 
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    """main() builds its parser once per process.  Back-to-back calls with
+    different subcommands and options give what each gives on a parser of
+    its own, and no option carries over into the next call."""
+    from domguard import cli
+    calls = (["solve", "--family", "cycle:7", "--invariants", "gamma_secure,tau",
+              "--format", "json", "--limit-n", "5"],
+             ["solve", "--family", "cycle:7", "--invariants", "gamma_secure"],
+             ["gen", "randomtree:9", "--seed", "3"],
+             ["gen", "randomtree:9"],
+             ["conjecture", "--family", "path", "--t-max", "3", "--format", "json"],
+             ["audit", "--family", "path:6"],
+             ["frobnicate"])
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(list(argv)))
+    assert [code for code, _, _ in alone] == [EXIT_OK] * 6 + [EXIT_USAGE]
+    # The limit, the format and the seed each change an output, so a value
+    # carried over into the next call would show.
+    assert "exceeds solver limit 5" in alone[0][1] and "exceeds" not in alone[1][1]
+    assert alone[0][1].startswith("[") and not alone[1][1].startswith("[")
+    assert alone[2][1] != alone[3][1]
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    in_a_row = [run(list(argv)) for argv in calls + calls[::-1]]
+    assert in_a_row == alone + alone[::-1]
+    assert len(built) == 1
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run([sys.executable, "-m", "domguard.cli", "gen", "path:4"],
                           capture_output=True, text=True)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domguard.graph import (VERTEX_CAP, Graph, GraphError, VertexSet, bandwidth_order,
-                            cartesian_product, complement, complete, component_is_complete,
-                            corona, cycle, empty, generate, hamming, has_hamiltonian_cycle,
+from domguard.graph import (VERTEX_CAP, Graph, GraphError, VertexSet, automorphisms,
+                            bandwidth_order, cartesian_product, complement, complete,
+                            component_is_complete, corona, cycle, empty, generate, hamming,
+                            has_hamiltonian_cycle,
                             hypercube, is_connected, is_cycle_graph, is_tree, join, leaf_count,
                             max_degree, min_degree, path, relabel, remove_edge,
                             spanning_tree, star)
@@ -80,6 +81,13 @@ class TestVertexSet:
         assert (a & b).members() == (1,)
         assert (a - b).members() == (0,)
         assert a.complement().members() == (2, 3)
+
+    def test_immutable(self):
+        s = VertexSet(5, 4)
+        for name, value in (("bits", 1), ("universe", 8), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        assert s == VertexSet(5, 4)
 
 
 class TestFamilies:
@@ -284,6 +292,57 @@ class TestBandwidthOrder:
         for bad in ([0, 1, 2], [0, 1, 2, 2], [1, 2, 3, 4]):
             with pytest.raises(GraphError):
                 relabel(g, bad)
+
+
+def assert_automorphisms(g: Graph, group) -> None:
+    """Distinct permutations that each map every edge to an edge."""
+    assert len(set(group)) == len(group)
+    edges = list(g.edges())
+    for sigma in group:
+        assert sorted(sigma) == list(range(g.n))
+        assert all(g.has_edge(sigma[u], sigma[v]) for u, v in edges)
+
+
+class TestAutomorphisms:
+    def test_group_orders_match_networkx_all_n6(self, corpus_all_n6):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+        for g in corpus_all_n6:
+            group = automorphisms(g, limit=720)
+            assert_automorphisms(g, group)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert len(group) == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()), g
+
+    def test_elements_are_automorphisms(self, corpus_connected_n7):
+        for g in corpus_connected_n7:
+            assert_automorphisms(g, automorphisms(g))
+
+    def test_known_orders(self):
+        for t in range(5, 16):
+            g = cartesian_product(cycle(t), complete(2))
+            group = automorphisms(g)
+            assert len(group) == 4 * t
+            assert_automorphisms(g, group)
+        cases = ((hypercube(3), 48), (cartesian_product(path(5), path(5)), 8),
+                 (cartesian_product(path(4), path(6)), 4), (path(30), 2))
+        for g, order in cases:
+            group = automorphisms(g, limit=100)
+            assert len(group) == order
+            assert_automorphisms(g, group)
+        # Refinement alone is discrete here: only the identity is left.
+        spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (0, 6)])
+        assert automorphisms(spider) == [tuple(range(7))]
+
+    def test_cap_is_respected(self):
+        for g in (complete(7), empty(7)):
+            group = automorphisms(g)
+            assert len(group) == 28
+            assert_automorphisms(g, group)
+        assert len(automorphisms(hypercube(3))) == 32
+        assert len(automorphisms(complete(7), limit=5)) == 5
+        assert automorphisms(Graph(0)) == [()]
 
 
 class TestQueries:

@@ -39,6 +39,13 @@ class TestGuardFunction:
         f = GuardFunction.from_vertex_set(g, VertexSet.from_indices([0, 2], 4))
         assert f.values == (1, 0, 1, 0)
 
+    def test_immutable(self):
+        f = GuardFunction(path(3), (2, 0, 1))
+        for name, value in (("values", (0, 0, 0)), ("two_mask", 0), ("graph", path(2))):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+        assert f.values == (2, 0, 1) and f.support_mask == 5 and f.two_mask == 1
+
 
 class TestUndefended:
     def test_no_guards_everywhere_undefended(self):

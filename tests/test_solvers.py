@@ -4,14 +4,15 @@ from itertools import combinations, product
 import pytest
 
 from domguard import oracles
-from domguard.graph import (Graph, cartesian_product, complete, corona, cycle, empty,
-                            hypercube, join, min_degree, leaf_count, path, remove_edge,
+from domguard import solvers as solvers_mod
+from domguard.graph import (Graph, automorphisms, cartesian_product, complete, corona, cycle,
+                            empty, hypercube, join, min_degree, leaf_count, path, remove_edge,
                             star)
 from domguard.protection import (GuardFunction, is_df, is_k_dominating, is_rdf,
                                  is_secure_dominating, is_wrdf)
 from domguard.solvers import (LimitExceeded, SolverLimits, _lex_dominating_masks,
-                              _k_reach, _SearchTables, chromatic_number, clique_cover,
-                              enumerate_gamma_sets, gamma, gamma_k, gamma_roman,
+                              _k_reach, _orbit_masks, _SearchTables, chromatic_number,
+                              clique_cover, enumerate_gamma_sets, gamma, gamma_k, gamma_roman,
                               gamma_secure, gamma_weak_roman, matching_number, solve,
                               tau, two_packing)
 
@@ -330,11 +331,13 @@ def test_nodes_explored_pinned(fig1_tree, spider9):
         (spider9, (5, 255, 17, 110, 33)),
         (cartesian_product(path(3), path(3)), (12, 51, 101, 75, 25)),
         (cartesian_product(cycle(5), complete(2)), (8, 53, 112, 189, 25)),
-        (cartesian_product(cycle(10), complete(2)), (43, 2952, 11137, 7341, 469)),
+        # Order 20, so the orbit cut applies.
+        (cartesian_product(cycle(10), complete(2)), (27, 1102, 3953, 4711, 469)),
     ]
     solvers = (gamma, gamma_secure, gamma_weak_roman, gamma_2, two_packing)
     for g, nodes in cases:
         assert tuple(f(g).nodes_explored for f in solvers) == nodes
+    assert gamma_weak_roman(cartesian_product(cycle(14), complete(2))).nodes_explored == 29122
 
 
 def test_protection_cut_is_sound_all_n6(corpus_all_n6):
@@ -395,6 +398,58 @@ def test_k_coverage_cut_is_sound_all_n6(corpus_all_n6):
                     assert not oracles.naive_is_kdom(g, members, k)
                     dropped += 1
     assert dropped == 5153
+
+
+@pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
+def test_orbit_cut_is_sound(corpus, request):
+    """The orbit cut of the dominating-set search, on every graph of the
+    corpus (below the order gate, so its tables are built directly) and
+    every set size: the cut search yields an order-preserving subsequence of
+    the uncut one that keeps the lex-least set of every orbit under the
+    whole automorphism group."""
+    dropped = 0
+    for g in request.getfixturevalue(corpus):
+        orbits = _orbit_masks(g)
+        if orbits is None:
+            continue
+        group = automorphisms(g, limit=5040)
+        t = _SearchTables(g)
+        for size in range(g.n + 1):
+            sizes = range(size, size + 1)
+            uncut = list(_lex_dominating_masks(t, sizes, [0]))
+            cut = list(_lex_dominating_masks(t, sizes, [0], orbits=orbits))
+            rest = iter(uncut)
+            assert all(m in rest for m in cut)
+            kept = set(cut)
+            for m in uncut:
+                members = [v for v in range(g.n) if m >> v & 1]
+                # The least image in the search's order: lex on sorted members.
+                least = min(tuple(sorted(sigma[v] for v in members)) for sigma in group)
+                assert sum(1 << v for v in least) in kept, (g, m)
+            dropped += len(uncut) - len(cut)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
+def test_orbit_cut_keeps_answers(corpus, request, monkeypatch):
+    """With the order gate removed, every solver that takes the orbit cut
+    returns the value and witness of the uncut search, and the γ-set list
+    and tau, whose γ-set passes never cut, are unchanged."""
+    solvers = (gamma, lambda g: gamma_k(g, 2), gamma_weak_roman, gamma_secure, tau)
+    graphs = request.getfixturevalue(corpus)
+    uncut = [[f(g) for f in solvers] + [enumerate_gamma_sets(g)] for g in graphs]
+    # Tables built under either gate must not outlive it.
+    solvers_mod._tables.cache_clear()
+    request.addfinalizer(solvers_mod._tables.cache_clear)
+    monkeypatch.setattr(solvers_mod, "ORBIT_CUT_MIN_N", 0)
+    fewer = 0
+    for g, before in zip(graphs, uncut):
+        after = [f(g) for f in solvers]
+        assert [(r.value, r.witness) for r in after] == [(r.value, r.witness)
+                                                         for r in before[:-1]], g
+        assert enumerate_gamma_sets(g) == before[-1]
+        fewer += sum(a.nodes_explored < b.nodes_explored for a, b in zip(after, before))
+    assert fewer > 0
 
 
 # ---------------------------------------------------------------------------
