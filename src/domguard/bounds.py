@@ -12,17 +12,19 @@ A failed applicable bound is a build-failing event, surfaced via the report's
 bandwidth order (``graph.bandwidth_order``): they report values only, and
 values do not depend on labels, while the lex search cuts more when
 neighbors sit close together.  The report still names the input graph.
-``product_audit`` and an ``InvariantCache`` built directly keep the input's
-labels, so their witnesses are the canonical ones that ``solve`` returns.
+``product_audit`` keeps the input's labels, so its witnesses are the
+canonical ones that ``solve`` returns.  The clique cover number is solved
+under its own name; the Nordhaus-Gaddum chromatic rows read it as the
+chromatic number of the complement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
-from .graph import (Graph, VertexSet, bandwidth_order, component_is_complete, complement,
+from .graph import (Graph, bandwidth_order, component_is_complete, complement,
                     has_hamiltonian_cycle, is_connected, is_cycle_graph, iter_bits, leaf_count,
                     max_degree, min_degree, relabel)
 from .graph6 import write_graph6
@@ -35,26 +37,19 @@ class InvariantCache:
     each invariant is solved at most once and its whole result is kept, and
     each structural fact is computed once.
 
-    With ``banded`` the cache works on ``relabel(g, bandwidth_order(g))``
-    and ``order`` maps its vertices back to g's; its complement cache is
-    banded the same way.  Values do not depend on labels, but witnesses are
-    those of ``graph``, the relabelled graph."""
+    The cache keeps the labels of ``graph``, the graph it is given, so its
+    witnesses are those of ``graph``.  Its complement cache holds the
+    complement in bandwidth order, and no witness passes between the two."""
 
-    def __init__(self, g: Graph, limits: Optional[SolverLimits] = None, banded: bool = False):
-        self.order = bandwidth_order(g) if banded else None
-        self.graph = relabel(g, self.order) if banded else g
+    def __init__(self, g: Graph, limits: Optional[SolverLimits] = None):
+        self.graph = g
         self.limits = limits or DEFAULT_LIMITS
         self._results: dict[str, SolveResult] = {}
         self._complement: Optional["InvariantCache"] = None
 
     def result(self, key: str) -> SolveResult:
         if key not in self._results:
-            if key == "clique_cover" and self.n <= self.limits.chromatic_max_n:
-                # A clique cover of g is a coloring of its complement.
-                co = self.co()
-                res = co.result("chromatic")
-                res = replace(res, invariant_id=key, witness=co._in_source_labels(res.witness))
-            elif key == "gamma_secure" and self.n <= min(self.limits.secure_max_n,
+            if key == "gamma_secure" and self.n <= min(self.limits.secure_max_n,
                                                          self.limits.weak_roman_max_n):
                 # γ_s ≥ γ_wr: the secure search starts from the weak Roman result.
                 res = gamma_secure(self.graph, self.limits, self.result("gamma_weak_roman"))
@@ -128,30 +123,15 @@ class InvariantCache:
             return "complement"
         return None
 
-    def hamiltonian(self) -> bool:
-        if self.graph.n > self.limits.hamiltonian_max_n:
-            raise LimitExceeded("hamiltonian", self.graph.n, self.limits.hamiltonian_max_n)
-        return has_hamiltonian_cycle(self.graph, self.limits.hamiltonian_max_n)
-
     def co(self) -> "InvariantCache":
         if self._complement is None:
-            self._complement = InvariantCache(complement(self.graph), self.limits,
-                                              self.order is not None)
+            self._complement = InvariantCache(_banded(complement(self.graph)), self.limits)
         return self._complement
 
-    def _in_source_labels(self, sets: tuple[VertexSet, ...]) -> tuple[VertexSet, ...]:
-        """Vertex sets of ``graph`` in the labels of the graph the cache was
-        built from, ordered by smallest member."""
-        if self.order is None:
-            return sets
-        masks = []
-        for s in sets:
-            m = 0
-            for v in s:
-                m |= 1 << self.order[v]
-            masks.append(m)
-        masks.sort(key=lambda m: m & -m)
-        return tuple(VertexSet(m, self.n) for m in masks)
+
+def _banded(g: Graph) -> Graph:
+    """g relabelled in bandwidth order, where the lex search cuts more."""
+    return relabel(g, bandwidth_order(g))
 
 
 class Inapplicable(Exception):
@@ -267,12 +247,10 @@ def _make_registry() -> tuple[BoundSpec, ...]:
     # --- order-based secure bounds ---------------------------------------
     def _hamiltonian_applies(c):
         _need(c.n >= 4, "order below 4")
-        try:
-            ham = c.hamiltonian()
-        except LimitExceeded:
-            # never guessed: above the search cap the bound is simply not audited
-            raise Inapplicable("hamiltonicity undecided above the search cap")
-        _need(ham, "graph is not Hamiltonian")
+        # never guessed: above the search cap the bound is simply not audited
+        cap = c.limits.hamiltonian_max_n
+        _need(c.n <= cap, "hamiltonicity undecided above the search cap")
+        _need(has_hamiltonian_cycle(c.graph, cap), "graph is not Hamiltonian")
         return -(-3 * c.n // 7)
     add("hamiltonian_secure_three_sevenths", "upper", "gamma_secure",
         "secure domination of a Hamiltonian graph is at most ceil(3n/7)",
@@ -416,14 +394,15 @@ def _make_registry() -> tuple[BoundSpec, ...]:
         lambda c: c.value("gamma_secure") * c.co().value("gamma_secure"),
         note=_refined_note)
 
+    # the chromatic number of the complement is the clique cover number
     add("ng_chromatic_sum_le_order_plus_one", "upper", "chromatic",
         "chromatic sum over graph and complement is at most n + 1",
         lambda c: c.n + 1,
-        lambda c: c.value("chromatic") + c.co().value("chromatic"))
+        lambda c: c.value("chromatic") + c.value("clique_cover"))
     add("ng_chromatic_product_le_order_bound", "upper", "chromatic",
         "chromatic product over graph and complement is at most (n+1)^2/4",
         lambda c: (c.n + 1) ** 2 / 4,
-        lambda c: c.value("chromatic") * c.co().value("chromatic"))
+        lambda c: c.value("chromatic") * c.value("clique_cover"))
 
     # --- Cartesian-product (pair scope; caches keyed "g"/"h"/"p") ---------
     def pair(id, kind, target, statement, claimed, actual):
@@ -528,20 +507,19 @@ def _evaluate(spec: BoundSpec, cache) -> BoundRow:
 def audit(g: Graph, limits: Optional[SolverLimits] = None) -> BoundReport:
     """Evaluate every applicable graph-scope bound against exact values.
     The values are solved in bandwidth order; the report names g itself."""
-    return _audit_report(g, InvariantCache(g, limits, banded=True))
+    return _audit_report(g, InvariantCache(_banded(g), limits))
+
+
+def _scope_rows(scope: str, cache) -> tuple[list[BoundRow], bool]:
+    """The rows of every registry bound of one scope, and whether a budget
+    cut any of them (the report is then incomplete)."""
+    rows = [_evaluate(spec, cache) for spec in _REGISTRY if spec.scope == scope]
+    return rows, any(row.budget_exceeded for row in rows)
 
 
 def _audit_report(g: Graph, cache: InvariantCache) -> BoundReport:
     """The audit of g from a cache of g or of a relabelling of g."""
-    rows = []
-    incomplete = False
-    for spec in _REGISTRY:
-        if spec.scope != "graph":
-            continue
-        row = _evaluate(spec, cache)
-        if row.budget_exceeded:
-            incomplete = True
-        rows.append(row)
+    rows, incomplete = _scope_rows("graph", cache)
     invariants = dict(sorted(cache.computed_values().items()))
     invariants["n"] = g.n
     return BoundReport(write_graph6(g), g.n, invariants, rows, [], incomplete)
@@ -557,15 +535,7 @@ def product_audit(g: Graph, h: Graph,
         "h": InvariantCache(h, limits),
         "p": InvariantCache(p, limits),
     }
-    rows = []
-    incomplete = False
-    for spec in _REGISTRY:
-        if spec.scope != "pair":
-            continue
-        row = _evaluate(spec, pair_cache)
-        if row.budget_exceeded:
-            incomplete = True
-        rows.append(row)
+    rows, incomplete = _scope_rows("pair", pair_cache)
     invariants = {"n_g": g.n, "n_h": h.n, "n_product": p.n}
     invariants.update({f"product_{k}": v
                        for k, v in sorted(pair_cache["p"].computed_values().items())})
@@ -670,7 +640,7 @@ def nordhaus_gaddum(g: Graph, limits: Optional[SolverLimits] = None) -> dict:
     """Weak Roman / secure values on a graph and its complement with every
     sum/product check of the registry's ``ng_*`` rows, including the refined
     small-degree variant.  The values are solved in bandwidth order."""
-    return _ng_record(InvariantCache(g, limits, banded=True))
+    return _ng_record(InvariantCache(_banded(g), limits))
 
 
 def _ng_record(cache: InvariantCache) -> dict:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from domguard import oracles
 from domguard.bounds import (BoundReport, InvariantCache, _audit_report, _ng_record, audit,
                              conjecture_scan, family_value, nordhaus_gaddum, product_audit,
                              registry)
@@ -223,6 +224,16 @@ class TestAudit:
                                              for r in rep.failures()])
             assert not rep.incomplete
 
+    def test_clique_cover_rows_match_oracles(self, corpus_all_n6):
+        # θ(G) = χ(Ḡ): the clique cover row and the chromatic sum and product
+        # rows against brute-force colorings of the graph and its complement.
+        for g in corpus_all_n6:
+            rows = rows_by_id(audit(g))
+            chi, theta = oracles.brute_chromatic(g), oracles.brute_clique_cover(g)
+            assert rows["secure_le_clique_cover"].claimed == theta, g
+            assert rows["ng_chromatic_sum_le_order_plus_one"].actual == chi + theta, g
+            assert rows["ng_chromatic_product_le_order_bound"].actual == chi * theta, g
+
 
 class TestInvariantCache:
     def test_secure_from_weak_roman_matches_standalone(self, corpus_all_n6,
@@ -234,10 +245,10 @@ class TestInvariantCache:
 
     def test_bandwidth_route_matches_canonical_labels(self, corpus_all_n6,
                                                       corpus_connected_n7):
-        # InvariantCache(g) keeps g's labels, and so does its complement cache.
+        # InvariantCache(g) keeps g's labels.
         for g in corpus_all_n6 + corpus_connected_n7:
             canonical = InvariantCache(g)
-            assert canonical.graph is g and canonical.co().order is None
+            assert canonical.graph is g
             assert audit(g).to_json_dict() == _audit_report(g, canonical).to_json_dict()
             assert nordhaus_gaddum(g) == _ng_record(InvariantCache(g))
         rng = random.Random(20261018)
@@ -247,8 +258,9 @@ class TestInvariantCache:
 
     def test_banded_cache_witnesses_are_in_its_labels(self, corpus_all_n6):
         for g in corpus_all_n6:
-            cache = InvariantCache(g, banded=True)
-            assert cache.graph == relabel(g, cache.order)
+            banded = relabel(g, bandwidth_order(g))
+            cache = InvariantCache(banded)
+            assert cache.graph is banded
             _audit_report(g, cache)
             assert {"gamma", "gamma_secure", "clique_cover"} <= set(cache.computed_values())
             cache.co().result("clique_cover")  # colors the complement of the complement
