@@ -35,6 +35,10 @@ come from ``graph.automorphisms``, once per graph.  Smaller graphs skip
 the cut: their searches are too small to pay for the automorphism search.
 The γ-set list and tau need every minimum set and never take the cut.
 
+Coloring (``chromatic_number``, and ``clique_cover`` as the coloring of the
+complement) is a DSATUR branch and bound (``_dsatur``): its best leaf is
+the witness, so the value and the color classes come from one search.
+
 ``gamma_secure`` can start from the graph's weak Roman result, as the
 audit's ``InvariantCache`` does: γ_s ≥ γ_wr, so its search begins at size
 γ_wr, and a weak Roman witness with no two-guard vertex is already the
@@ -69,7 +73,15 @@ class LimitExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Per-solver order caps; defaults sized so the acceptance suite runs in minutes."""
+    """Per-solver order caps; defaults sized so the acceptance suite runs in minutes.
+
+    The coloring cap (``chromatic_max_n``) and the γ-set cap of tau and the
+    γ-set list (``gamma_sets_max_n``) are 24, the largest order the benchmark
+    audits.  On the benchmark's seed-1 random graphs of order 17–24 and their
+    complements (384 graph sides), DSATUR colors all of them in 0.09–0.10 s,
+    witnesses included, in bandwidth order as the audit solves them and in
+    input labels as ``solve`` does, and tau on the 144 graphs of order 19–24
+    takes 0.13–0.15 s, on a shared 2-vCPU host."""
 
     domination_max_n: int = 32
     weak_roman_max_n: int = 28
@@ -78,8 +90,8 @@ class SolverLimits:
     kdomination_max_n: int = 18
     matching_max_n: int = 26
     two_packing_max_n: int = 26
-    chromatic_max_n: int = 16
-    gamma_sets_max_n: int = 18
+    chromatic_max_n: int = 24
+    gamma_sets_max_n: int = 24
     hamiltonian_max_n: int = 24
 
     def scaled(self, cap: int) -> "SolverLimits":
@@ -616,53 +628,91 @@ def two_packing(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     return SolveResult("two_packing", best, VertexSet(best_mask, n), counter[0])
 
 
-def _chromatic_core(g: Graph, counter: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Branch-and-bound coloring; returns (chromatic number, per-vertex colors)."""
+def _clique_bound(g: Graph) -> int:
+    """A lower bound on the chromatic number: the clique that takes each
+    vertex, by descending degree and then ascending index, when it is
+    adjacent to every vertex taken so far, raised to 3 when the graph has an
+    odd cycle.  A vertex of largest degree starts the clique, so any edge
+    makes it at least 2, whatever the labels."""
+    n, adj = g.n, g.adj
+    clique = 0
+    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    size = clique.bit_count()
+    if size != 2:
+        return size
+    side = [-1] * n  # 2-coloring by depth-first search; a clash is an odd cycle
+    for s in range(n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in iter_bits(adj[v]):
+                if side[u] < 0:
+                    side[u] = side[v] ^ 1
+                    stack.append(u)
+                elif side[u] == side[v]:
+                    return 3
+    return 2
+
+
+def _dsatur(g: Graph, counter: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Branch-and-bound coloring by Brélaz's DSATUR (*New methods to color the
+    vertices of a graph*, CACM 22, 1979); returns (chromatic number,
+    per-vertex colors).
+
+    A node colors the uncolored vertex with the most distinct neighbor colors,
+    then the most uncolored neighbors, then the lowest index.  It tries each
+    existing color class, then opens a new class only while the class count
+    plus one is below the incumbent; a node whose class count has reached the
+    incumbent is cut on entry.  Each leaf beats the incumbent and keeps its
+    coloring, and the search stops once the incumbent meets
+    ``_clique_bound``."""
     n, adj = g.n, g.adj
     if n == 0:
         return 0, ()
-    clique = [0]
-    for v in range(1, n):
-        if all(adj[v] >> u & 1 for u in clique):
-            clique.append(v)
+    lower = _clique_bound(g)
+    best, best_colors = n + 1, ()
     colors = [-1] * n
-    for idx, v in enumerate(clique):
-        colors[v] = idx
-    rest = [v for v in range(n) if colors[v] < 0]
+    seen = [0] * n  # seen[v]: bitmask of the colors on v's neighbors
 
-    # greedy incumbent: lowest feasible color, vertices ascending
-    greedy = list(colors)
-    for v in rest:
-        used = {greedy[u] for u in iter_bits(adj[v]) if greedy[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-    best = max(greedy) + 1
-    best_colors = tuple(greedy)
-    base = len(clique)
-
-    def dfs(idx: int, used: int) -> None:
+    def rec(uncolored: int, k: int) -> bool:
+        """Search below the node; True once the incumbent meets ``lower``."""
         nonlocal best, best_colors
         counter[0] += 1
-        if used >= best:
-            return
-        if idx == len(rest):
-            best = used
-            best_colors = tuple(colors)
-            return
-        v = rest[idx]
-        neighbor_colors = {colors[u] for u in iter_bits(adj[v]) if colors[u] >= 0}
-        for c in range(used):
-            if c not in neighbor_colors:
-                colors[v] = c
-                dfs(idx + 1, used)
-        if used + 1 < best:
-            colors[v] = used
-            dfs(idx + 1, used + 1)
-        colors[v] = -1
+        if k >= best:
+            return False
+        if not uncolored:
+            best, best_colors = k, tuple(colors)
+            return k == lower
+        v, top = -1, -1
+        for u in iter_bits(uncolored):  # degrees are below 64, the vertex cap
+            key = seen[u].bit_count() << 6 | (adj[u] & uncolored).bit_count()
+            if key > top:
+                v, top = u, key
+        rest = uncolored & ~(1 << v)
+        nbrs = adj[v] & rest
+        for c in range(k + 1):
+            bit = 1 << c
+            if seen[v] & bit:
+                continue
+            if c == k and k + 1 >= best:
+                break
+            colors[v] = c
+            fresh = [u for u in iter_bits(nbrs) if not seen[u] & bit]
+            for u in fresh:
+                seen[u] |= bit
+            stop = rec(rest, k + (c == k))
+            for u in fresh:
+                seen[u] ^= bit
+            if stop:
+                return True
+        return False
 
-    dfs(0, base)
+    rec(g.full_mask, 0)
     return best, best_colors
 
 
@@ -678,7 +728,7 @@ def _color_classes(g: Graph, value: int, coloring: Sequence[int]) -> tuple[Verte
 def chromatic_number(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     _check(limits, "chromatic", g.n, "chromatic_max_n")
     counter = [0]
-    value, coloring = _chromatic_core(g, counter)
+    value, coloring = _dsatur(g, counter)
     return SolveResult("chromatic", value, _color_classes(g, value, coloring), counter[0])
 
 
@@ -687,7 +737,7 @@ def clique_cover(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult
     witness is the partition of the vertices into cliques."""
     _check(limits, "clique_cover", g.n, "chromatic_max_n")
     counter = [0]
-    value, coloring = _chromatic_core(complement(g), counter)
+    value, coloring = _dsatur(complement(g), counter)
     return SolveResult("clique_cover", value, _color_classes(g, value, coloring), counter[0])
 
 

@@ -112,13 +112,13 @@ class TestAudit:
     def test_clique_cover_reuses_complement_coloring(self, monkeypatch):
         import domguard.solvers as solvers
         calls = []
-        core = solvers._chromatic_core
+        dsatur = solvers._dsatur
 
         def counted(g, counter):
             calls.append(g.n)
-            return core(g, counter)
+            return dsatur(g, counter)
 
-        monkeypatch.setattr(solvers, "_chromatic_core", counted)
+        monkeypatch.setattr(solvers, "_dsatur", counted)
         rep = audit(cycle(9))
         assert calls == [9, 9]
         assert rep.invariants["clique_cover"] == 5 and not rep.incomplete

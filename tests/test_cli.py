@@ -8,10 +8,13 @@ import pytest
 from domguard import bounds as bounds_mod
 from domguard.cli import (EXIT_BOUND_VIOLATION, EXIT_IO, EXIT_OK, EXIT_USAGE, SpecError,
                           main, parse_family_spec, random_tree)
-from domguard.graph import Graph, cartesian_product, complete, cycle, is_tree, path
+from domguard.graph import (Graph, VertexSet, cartesian_product, complete, cycle, is_tree,
+                            iter_bits, path)
 from domguard.graph6 import parse_graph6, write_graph6
 
 import random
+
+from conftest import random_connected_graph
 
 
 def run(argv, stdin=""):
@@ -135,6 +138,35 @@ class TestSolve:
         assert code == EXIT_OK
         assert "error" in data[0]["results"][0]
         assert data[1]["results"][0]["value"] == 2
+
+    def test_coloring_and_tau_past_order_16(self):
+        """At order 20 the default limits color the graph and its complement
+        and compute tau, in solve and in audit alike."""
+        g = random_connected_graph(random.Random(20), 20, 0.3)
+        stdin = write_graph6(g) + "\n"
+        code, out, _ = run(["solve", "--invariants", "chromatic,clique_cover,tau",
+                            "--format", "json"], stdin)
+        assert code == EXIT_OK
+        results = {r["invariant_id"]: r for r in json.loads(out)[0]["results"]}
+        for key, independent in (("chromatic", True), ("clique_cover", False)):
+            classes = [VertexSet.from_text(text, g.n).bits
+                       for text in results[key]["witness"]["sets"]]
+            assert len(classes) == results[key]["value"]
+            union = 0
+            for cls in classes:
+                assert union & cls == 0
+                union |= cls
+                for u in iter_bits(cls):
+                    inside = g.adj[u] & cls
+                    assert inside == (0 if independent else cls & ~(1 << u))
+            assert union == g.full_mask
+        assert "value" in results["tau"]
+        code, out, _ = run(["audit", "--format", "json"], stdin)
+        assert code == EXIT_OK
+        rep = json.loads(out)[0]
+        assert {"chromatic", "clique_cover", "tau"} <= rep["invariants"].keys()
+        assert not any((r["reason"] or "").startswith(
+            ("budget: chromatic", "budget: clique_cover", "budget: tau")) for r in rep["bounds"])
 
     def test_unknown_invariant_is_usage_error(self):
         code, _, _ = run(["solve", "--family", "path:3", "--invariants", "zeta"])

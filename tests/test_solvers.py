@@ -5,13 +5,15 @@ import pytest
 
 from domguard import oracles
 from domguard import solvers as solvers_mod
-from domguard.graph import (Graph, automorphisms, cartesian_product, complete, corona, cycle,
-                            empty, hypercube, join, min_degree, leaf_count, path, remove_edge,
-                            star)
+from domguard.graph import (Graph, automorphisms, bandwidth_order, cartesian_product, complement,
+                            complete, corona, cycle, empty, hypercube, join, min_degree,
+                            leaf_count, path, relabel, remove_edge, star)
+from domguard.graph6 import parse_graph6
 from domguard.protection import (GuardFunction, is_df, is_k_dominating, is_rdf,
                                  is_secure_dominating, is_wrdf)
-from domguard.solvers import (LimitExceeded, SolverLimits, _lex_dominating_masks,
-                              _k_reach, _orbit_masks, _SearchTables, chromatic_number,
+from domguard.solvers import (LimitExceeded, SolverLimits, _clique_bound, _dsatur,
+                              _lex_dominating_masks, _k_reach, _orbit_masks,
+                              _SearchTables, chromatic_number,
                               clique_cover, enumerate_gamma_sets, gamma, gamma_k, gamma_roman,
                               gamma_secure, gamma_weak_roman, matching_number, solve,
                               tau, two_packing)
@@ -247,7 +249,6 @@ class TestAuxiliarySolvers:
         assert clique_cover(cycle(5)).value == 3
 
     def test_ng_chromatic_tightness_on_c5(self):
-        from domguard.graph import complement
         assert chromatic_number(cycle(5)).value + chromatic_number(complement(cycle(5))).value == 6
 
     def test_coloring_witness_is_proper(self):
@@ -275,6 +276,59 @@ class TestAuxiliarySolvers:
                 for u in cl:
                     assert g.closed[u] & cl.bits == cl.bits
             assert union == g.full_mask
+
+class TestDsatur:
+    """DSATUR gives the coloring value and, at its best leaf, the witness."""
+
+    def test_matches_oracle_all_n6(self, corpus_all_n6):
+        for g in corpus_all_n6:
+            for h in (g, complement(g)):
+                assert _dsatur(h, [0])[0] == oracles.brute_chromatic(h)
+
+    def test_matches_oracle_connected_n7(self, corpus_connected_n7):
+        for g in corpus_connected_n7:
+            for h in (g, complement(g)):
+                assert _dsatur(h, [0])[0] == oracles.brute_chromatic(h)
+
+    @pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7", "seeded"])
+    def test_witnesses_are_optimal_partitions(self, corpus, request):
+        if corpus == "seeded":
+            rng = random.Random(15)
+            graphs = [random_graph(rng, n, p) for n, p in ((17, 0.3), (18, 0.5), (19, 0.2),
+                                                           (20, 0.6))]
+        else:
+            graphs = request.getfixturevalue(corpus)
+        for g in graphs:
+            for res, h in ((chromatic_number(g), g), (clique_cover(g), complement(g))):
+                assert len(res.witness) == res.value
+                union = 0
+                for cls in res.witness:
+                    assert union & cls.bits == 0
+                    union |= cls.bits
+                    for u in cls:
+                        assert h.adj[u] & cls.bits == 0
+                assert union == g.full_mask
+
+    def test_nodes_pinned(self):
+        """A sparse 23-vertex graph of the random_audit draw (seed 1).  Without
+        the cut on entry to a node whose class count has reached the incumbent,
+        the search takes about 1.5M nodes in either labelling."""
+        g = parse_graph6("VCC?AC?@D@@oAcAA??C@??G?A??@I@Ig?@Agg?@?oC??")
+        assert (g.n, g.edge_count) == (23, 38)
+        for h, nodes in ((g, 69), (relabel(g, bandwidth_order(g)), 67)):
+            counter = [0]
+            assert _dsatur(h, counter)[0] == 3
+            assert counter[0] == nodes
+
+    def test_bound_does_not_depend_on_vertex_0(self):
+        """An isolated or universal vertex 0 leaves the lower bound at the
+        clique and odd-cycle value, so the search stops at its first optimum."""
+        odd = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])  # vertex 0 isolated, C5
+        assert _clique_bound(odd) == 3
+        g = join(complete(1), path(23))  # vertex 0 universal; theta = 12
+        assert _clique_bound(complement(g)) == 12
+        res = clique_cover(g)
+        assert (res.value, res.nodes_explored) == (12, 25)
 
 
 class TestGammaSetsAndTau:
