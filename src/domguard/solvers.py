@@ -20,9 +20,14 @@ secure and weak Roman solvers the search also cuts a partial set once its
 two-guard vertices than the set may hold.  The cut only drops sets that no
 allowed two-guard class makes weak Roman, so values and witnesses are those
 of the uncut search.  The k-domination solver likewise cuts a partial set
-once a vertex it leaves out can no longer reach k chosen neighbors.  Every
-solver's search pushes a last pick only if it covers everything still
+once a vertex it leaves out can no longer reach k chosen neighbors; for
+k = 2 its cuts are exact, so the search yields only 2-dominating sets.
+Every solver's search pushes a last pick only if it covers everything still
 uncovered.
+
+The Roman domination number is not a dominating-set search: a two-guard
+set D fixes the function, and for each size of D a max-coverage branch and
+bound finds the lex-first D with the largest closed neighborhood.
 
 The solvers that stop at a first hit (γ, k-domination, weak Roman with its
 γ pre-pass, secure) also take an orbit cut on the first two picks of graphs
@@ -81,13 +86,20 @@ class SolverLimits:
     complements (384 graph sides), DSATUR colors all of them in 0.09–0.10 s,
     witnesses included, in bandwidth order as the audit solves them and in
     input labels as ``solve`` does, and tau on the 144 graphs of order 19–24
-    takes 0.13–0.15 s, on a shared 2-vCPU host."""
+    takes 0.13–0.15 s, on a shared 2-vCPU host.
+
+    The Roman cap (``roman_max_n``) and the k-domination cap
+    (``kdomination_max_n``, for every k) are 24 too.  On the seed-1 and
+    seed-2 random graphs of order 19–24 and their complements, in input
+    labels, the worst solve takes 6 ms for γ_R, 75 ms for γ_2 and 0.73 s
+    for γ_3 on a complement (0.49 s on a graph), on the same host.  In bandwidth order, the audit's γ_R and γ_2 on the 144 graphs of
+    one seed take 0.05–0.06 s and 0.37–0.48 s."""
 
     domination_max_n: int = 32
     weak_roman_max_n: int = 28
     secure_max_n: int = 28
-    roman_max_n: int = 20
-    kdomination_max_n: int = 18
+    roman_max_n: int = 24
+    kdomination_max_n: int = 24
     matching_max_n: int = 26
     two_packing_max_n: int = 26
     chromatic_max_n: int = 24
@@ -224,7 +236,7 @@ def _tables(g: Graph) -> _SearchTables:
 
 def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                           allowance: Optional[Callable[[int], int]] = None,
-                          reach: Optional[list[tuple[int, int]]] = None,
+                          reach: Optional[tuple[int, list[tuple[int, int]]]] = None,
                           orbits: Optional[tuple[int, Sequence[int]]] = None) -> Iterator[int]:
     """Dominating sets with a size in ``sizes``: size ascending, then in
     lexicographic order of their sorted member tuples.  The first set yielded
@@ -247,9 +259,22 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     chosen neighbors plus neighbors at index ``>= i``.  Picks come only from
     ``i`` on, so no completion of the node is k-dominating.  For a
     non-member, ``covered`` and ``twice`` are the vertices with at least one
-    and at least two chosen neighbors, so the test is exact for k <= 2; for
-    larger k it treats two chosen neighbors as enough and cuts less.  It
-    drops only sets that are not k-dominating and keeps the rest in order.
+    and at least two chosen neighbors; for k >= 3 the test treats two chosen
+    neighbors as enough and cuts less.  It drops only sets that are not
+    k-dominating and keeps the rest in order.
+
+    For k = 2 the search is exact: it yields only 2-dominating sets.  A
+    node's need is U ∪ O, where U holds the uncovered vertices and O the
+    non-members with exactly one chosen neighbor.  A pick j meets at most
+    |N[j]| + 1 units of the 2|U| + |O| still owed, so the node is cut when
+    that sum exceeds r · (maxcov + 1).  A last pick leaves every other
+    vertex of U with one neighbor at most, so with two vertices in U the
+    node is cut, and otherwise the pick is U's vertex, if any, and lies in
+    N[v] for every v in O.  The children stop at the first ``j`` past which
+    a vertex of U below ``j`` has fewer than two neighbors at index
+    ``>= j``, or a vertex of O below ``j`` has none, read from
+    ``reach[j]``.  This makes the node test above redundant, so it is
+    skipped, and a node with no need is 2-dominating with every superset.
 
     ``allowance(size)``, when given, is the number k of two-guard vertices a
     set of that size may hold, and turns on the protection cut.  A 0-vertex
@@ -281,6 +306,10 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     """
     n, full, closed, adj = t.g.n, t.g.full_mask, t.g.closed, t.g.adj
     maxcov, suffix, ball2 = t.maxcov, t.suffix, t.ball2
+    rows, exact = None, False
+    if reach is not None:
+        k_cover, rows = reach
+        exact = k_cover == 2
     for size in sizes:
         k = None if allowance is None else allowance(size)
         # (chosen, covered, covered twice, next index, picks left, the
@@ -290,21 +319,36 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
         while stack:
             chosen, covered, twice, i, r, parent_i, used, hits = stack.pop()
             counter[0] += 1
-            unc = full & ~covered
-            if unc:
-                if unc.bit_count() > r * maxcov:
+            need = unc = full & ~covered
+            if exact:
+                # Non-members with one chosen neighbor need one more.
+                once = covered & ~twice & ~chosen
+                need = unc | once
+            if need:
+                if exact:
+                    if 2 * unc.bit_count() + once.bit_count() > r * (maxcov + 1):
+                        continue
+                elif unc.bit_count() > r * maxcov:
                     continue
                 if r == 1:
-                    # The last pick must cover everything left on its own.
+                    # The last pick must meet every need on its own.
                     last = full >> i << i
                     m = unc
+                    if exact:
+                        # An uncovered vertex left out gets one neighbor at
+                        # most, so the last pick must be that vertex.
+                        if unc & unc - 1:
+                            continue
+                        if unc:
+                            last &= unc
+                        m = once
                     while m:
                         low = m & -m
                         last &= closed[low.bit_length() - 1]
                         m ^= low
                     if not last:
                         continue
-                else:
+                elif unc:
                     # Uncovered vertices pairwise more than two apart need distinct picks.
                     rest = unc
                     for _ in range(r):
@@ -313,8 +357,8 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                             break
                     else:
                         continue
-            if reach is not None:
-                one_short, enough = reach[i]
+            if rows is not None and not exact:
+                one_short, enough = rows[i]
                 if ~chosen & (1 << i) - 1 & ~(twice | covered & one_short | enough):
                     continue
             if k is not None:
@@ -340,7 +384,7 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                                 break
                 if hits > k:
                     continue
-            if not unc:
+            if not need:
                 for extra in combinations(range(i, n), r):
                     m = chosen
                     for b in extra:
@@ -361,8 +405,15 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                           j + 1, 0, i, used, hits))
                 continue
             end = i
-            while end <= n - r and not unc & ~suffix[end]:
-                end += 1
+            if exact:
+                while end <= n - r:
+                    one_short, enough = rows[end]
+                    if (unc & ~enough | once & ~one_short) & (1 << end) - 1:
+                        break
+                    end += 1
+            else:
+                while end <= n - r and not unc & ~suffix[end]:
+                    end += 1
             if orbits is not None and size - r < 2:
                 # The root's or a depth-1 node's children: the orbit cut.
                 top = orbits[0] if r == size else orbits[1][i - 1]
@@ -395,12 +446,13 @@ def gamma(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     return SolveResult("gamma", witness.bit_count(), VertexSet(witness, g.n), counter[0])
 
 
-def _k_reach(g: Graph, k: int) -> list[tuple[int, int]]:
-    """The k-coverage tables of ``_lex_dominating_masks``: entry ``i`` holds
-    the vertices with at least k - 1 and with at least k neighbors at index
-    >= i, the neighbors that picks from ``i`` on can still add."""
+def _k_reach(g: Graph, k: int) -> tuple[int, list[tuple[int, int]]]:
+    """The k-coverage tables of ``_lex_dominating_masks``: k, and rows whose
+    entry ``i`` holds the vertices with at least k - 1 and with at least k
+    neighbors at index >= i, the neighbors that picks from ``i`` on can
+    still add."""
     n, adj = g.n, g.adj
-    reach = []
+    rows = []
     for i in range(n + 1):
         one_short = enough = 0
         for v in range(n):
@@ -409,8 +461,8 @@ def _k_reach(g: Graph, k: int) -> list[tuple[int, int]]:
                 one_short |= 1 << v
                 if later >= k:
                     enough |= 1 << v
-        reach.append((one_short, enough))
-    return reach
+        rows.append((one_short, enough))
+    return k, rows
 
 
 def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveResult:
@@ -420,7 +472,9 @@ def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveRes
     lex) checks each with ``kdom_mask``, starting at the number of vertices of
     degree below k, which every k-dominating set must hold.  For k >= 2 the
     search takes the k-coverage cut, which drops only sets that are not
-    k-dominating.  Each set is one node, and the first hit is the witness."""
+    k-dominating; for k = 2 it drops all of them, so the first set yielded
+    passes.  Each set tested is one node, and the first hit is the
+    witness."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check(limits, f"gamma_{k}", g.n, "kdomination_max_n")
@@ -527,30 +581,56 @@ def gamma_weak_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
 
 
 def gamma_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
-    """Roman domination number: scan two-guard sets; uncovered vertices are
-    forced into the one-guard class, so weight is 2|D| + |V \\ N[D]|."""
+    """Roman domination number: the two-guard set D fixes the function,
+    since the vertices outside N[D] are forced into the one-guard class, so
+    the weight is 2|D| + n - |N[D]|.  For d = 1, 2, ... while 2d is below
+    the best weight (n, at D empty), a max-coverage branch and bound finds
+    the lex-first D of size d with the largest |N[D]|, if that beats the
+    best weight.  So the witness has the smallest D of minimum weight, then
+    the lex-first.
+
+    A node is a partial D, with members below the next index ``i`` and
+    ``r`` picks left; every node popped, and every last pick scanned in
+    place, counts once in ``nodes_explored``.  A D of size d only replaces
+    the incumbent with a strictly larger coverage, and a node is cut when
+    its coverage plus r times the largest |N[j]| at j >= i, or its coverage
+    joined with every N[j] at j >= i, cannot beat it."""
     _check(limits, "gamma_roman", g.n, "roman_max_n")
     counter = [0]
     n, full, closed = g.n, g.full_mask, g.closed
-    best: Optional[int] = None
-    best_masks: tuple[int, int] = (0, 0)
-    for d in range(n + 1):
-        if best is not None and 2 * d >= best:
-            break
-        for combo in combinations(range(n), d):
+    # From index i on: the largest closed neighborhood, and their union.
+    widest, suffix = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        widest[i] = max(widest[i + 1], closed[i].bit_count())
+        suffix[i] = suffix[i + 1] | closed[i]
+    best, best_two, best_cover = n, 0, 0
+    d = 1
+    while 2 * d < best:
+        # A D of size d must cover more than this to beat the best weight.
+        floor = 2 * d + n - best
+        stack = [(0, 0, 0, d)]  # (D, N[D], next index, picks left)
+        push = stack.append
+        while stack:
+            two, cover, i, r = stack.pop()
             counter[0] += 1
-            dmask = 0
-            reach = 0
-            for b in combo:
-                dmask |= 1 << b
-                reach |= closed[b]
-            ones = full & ~reach
-            w = 2 * d + ones.bit_count()
-            if best is None or w < best:
-                best = w
-                best_masks = (dmask | ones, dmask)
-    assert best is not None
-    witness = GuardFunction.from_masks(g, *best_masks)
+            size = cover.bit_count()
+            if size + r * widest[i] <= floor or (cover | suffix[i]).bit_count() <= floor:
+                continue
+            if r > 1:
+                for j in range(n - r, i - 1, -1):
+                    push((two | 1 << j, cover | closed[j], j + 1, r - 1))
+                continue
+            # The last pick: each j is a leaf, scanned in place.
+            for j in range(i, n):
+                if size + widest[j] <= floor:
+                    break
+                counter[0] += 1
+                leaf = cover | closed[j]
+                if leaf.bit_count() > floor:
+                    floor, best_two, best_cover = leaf.bit_count(), two | 1 << j, leaf
+        best = 2 * d + n - floor
+        d += 1
+    witness = GuardFunction.from_masks(g, best_two | full & ~best_cover, best_two)
     return SolveResult("gamma_roman", best, witness, counter[0])
 
 

@@ -11,6 +11,7 @@ from domguard.cli import (EXIT_BOUND_VIOLATION, EXIT_IO, EXIT_OK, EXIT_USAGE, Sp
 from domguard.graph import (Graph, VertexSet, cartesian_product, complete, cycle, is_tree,
                             iter_bits, path)
 from domguard.graph6 import parse_graph6, write_graph6
+from domguard.protection import GuardFunction, is_rdf, kdom_mask
 
 import random
 
@@ -167,6 +168,25 @@ class TestSolve:
         assert {"chromatic", "clique_cover", "tau"} <= rep["invariants"].keys()
         assert not any((r["reason"] or "").startswith(
             ("budget: chromatic", "budget: clique_cover", "budget: tau")) for r in rep["bounds"])
+
+    def test_roman_and_two_domination_at_order_24(self):
+        """At order 24 the default limits solve γ_R and γ_2, and the audit
+        completes every row."""
+        g = random_connected_graph(random.Random(24), 24, 0.15)
+        stdin = write_graph6(g) + "\n"
+        code, out, _ = run(["solve", "--invariants", "gamma_roman,gamma_2", "--format", "json"],
+                           stdin)
+        assert code == EXIT_OK
+        results = {r["invariant_id"]: r for r in json.loads(out)[0]["results"]}
+        f = GuardFunction.from_text(g, results["gamma_roman"]["witness"]["text"])
+        assert is_rdf(g, f) and f.weight() == results["gamma_roman"]["value"]
+        s = VertexSet.from_text(results["gamma_2"]["witness"]["text"], g.n)
+        assert kdom_mask(g, s.bits, 2) and len(s) == results["gamma_2"]["value"]
+        code, out, _ = run(["audit", "--format", "json"], stdin)
+        assert code == EXIT_OK
+        rep = json.loads(out)[0]
+        assert not rep["incomplete"]
+        assert not any((r["reason"] or "").startswith("budget:") for r in rep["bounds"])
 
     def test_unknown_invariant_is_usage_error(self):
         code, _, _ = run(["solve", "--family", "path:3", "--invariants", "zeta"])

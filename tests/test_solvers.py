@@ -10,7 +10,7 @@ from domguard.graph import (Graph, automorphisms, bandwidth_order, cartesian_pro
                             leaf_count, path, relabel, remove_edge, star)
 from domguard.graph6 import parse_graph6
 from domguard.protection import (GuardFunction, is_df, is_k_dominating, is_rdf,
-                                 is_secure_dominating, is_wrdf)
+                                 is_secure_dominating, is_wrdf, kdom_mask)
 from domguard.solvers import (LimitExceeded, SolverLimits, _clique_bound, _dsatur,
                               _lex_dominating_masks, _k_reach, _orbit_masks,
                               _SearchTables, chromatic_number,
@@ -120,6 +120,50 @@ class TestGammaRoman:
             g = random_graph(rng, rng.randint(0, 7))
             res = gamma_roman(g)
             assert is_rdf(g, res.witness) and res.witness.weight() == res.value
+
+    def test_matches_oracle_all_n6(self, corpus_all_n6):
+        for g in corpus_all_n6:
+            assert gamma_roman(g).value == oracles.brute_gamma_roman(g)[0], g
+
+    @pytest.mark.parametrize("corpus", ["corpus_connected_n7", "seeded"])
+    def test_matches_subset_scan(self, corpus, request):
+        """The max-coverage search against a plain scan of the two-guard
+        sets D, size ascending while 2|D| is below the best weight, each
+        size in ``combinations`` order, keeping the first of least weight:
+        same value and witness, in input labels and in bandwidth order."""
+        def scan(g):
+            best, best_masks = g.n + 1, (0, 0)
+            for d in range(g.n + 1):
+                if 2 * d >= best:
+                    break
+                for combo in combinations(range(g.n), d):
+                    two = reach = 0
+                    for b in combo:
+                        two |= 1 << b
+                        reach |= g.closed[b]
+                    ones = g.full_mask & ~reach
+                    if 2 * d + ones.bit_count() < best:
+                        best, best_masks = 2 * d + ones.bit_count(), (two | ones, two)
+            return best, GuardFunction.from_masks(g, *best_masks)
+
+        if corpus == "seeded":
+            rng = random.Random(17)
+            graphs = [random_graph(rng, n, p) for n, p in ((12, 0.2), (14, 0.3), (16, 0.15),
+                                                           (18, 0.25), (19, 0.4), (20, 0.2))]
+        else:
+            graphs = request.getfixturevalue(corpus)
+        for g in graphs:
+            for h in (g, relabel(g, bandwidth_order(g))):
+                res = gamma_roman(h)
+                assert (res.value, res.witness) == scan(h), h
+
+    def test_nodes_pinned(self):
+        """The hardest 24-vertex graph of the random_audit draw (seed 1) for
+        this search.  The subset scan it replaced tested 55,455 sets."""
+        g = parse_graph6("WP??A?QCA?GC`GCA`EGOc?OI??@C?@????C?HCY_B??@??D")
+        res = gamma_roman(g)
+        assert (g.n, res.value, res.nodes_explored) == (24, 12, 16338)
+        assert res.witness.to_text() == "1,2,0,0,2,0,0,0,2,0,0,0,0,0,0,0,0,1,0,1,1,2,0,0"
 
 
 class TestGammaWeakRoman:
@@ -378,15 +422,15 @@ class TestLimits:
 def test_nodes_explored_pinned(fig1_tree, spider9):
     """Node counts are deterministic, so a change here is a change in the search."""
     def gamma_2(g):
-        return gamma_k(g, 2, SolverLimits(kdomination_max_n=20))
+        return gamma_k(g, 2)
 
     cases = [
-        (fig1_tree, (5, 36, 17, 39, 15)),
-        (spider9, (5, 255, 17, 110, 33)),
-        (cartesian_product(path(3), path(3)), (12, 51, 101, 75, 25)),
-        (cartesian_product(cycle(5), complete(2)), (8, 53, 112, 189, 25)),
+        (fig1_tree, (5, 36, 17, 21, 15)),
+        (spider9, (5, 255, 17, 51, 33)),
+        (cartesian_product(path(3), path(3)), (12, 51, 101, 25, 25)),
+        (cartesian_product(cycle(5), complete(2)), (8, 53, 112, 42, 25)),
         # Order 20, so the orbit cut applies.
-        (cartesian_product(cycle(10), complete(2)), (27, 1102, 3953, 4711, 469)),
+        (cartesian_product(cycle(10), complete(2)), (27, 1102, 3953, 414, 469)),
     ]
     solvers = (gamma, gamma_secure, gamma_weak_roman, gamma_2, two_packing)
     for g, nodes in cases:
@@ -451,7 +495,20 @@ def test_k_coverage_cut_is_sound_all_n6(corpus_all_n6):
                     members = {v for v in range(g.n) if smask >> v & 1}
                     assert not oracles.naive_is_kdom(g, members, k)
                     dropped += 1
-    assert dropped == 5153
+    assert dropped == 6822
+
+
+@pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
+def test_two_coverage_cut_is_exact(corpus, request):
+    """With the k = 2 tables the dominating-set search yields exactly the
+    2-dominating sets of each size, in the uncut search's order."""
+    for g in request.getfixturevalue(corpus):
+        t, reach = _SearchTables(g), _k_reach(g, 2)
+        for size in range(g.n + 1):
+            sizes = range(size, size + 1)
+            uncut = list(_lex_dominating_masks(t, sizes, [0]))
+            cut = list(_lex_dominating_masks(t, sizes, [0], reach=reach))
+            assert cut == [m for m in uncut if kdom_mask(g, m, 2)], (g, size)
 
 
 @pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
