@@ -10,6 +10,13 @@ one per line) or stdin.  Family specs use a small colon/comma grammar:
     composite := prod:spec,spec | join:spec,spec
                | corona:spec,N | complement:spec
 
+``audit`` and ``solve`` write each graph's record as soon as it is computed,
+in input order, and keep none of the earlier ones, so a batch's memory does
+not grow with its length.  The output is the same bytes as one JSON array
+(or text report) written at the end.  Their exit code is known only when the
+last record is written.  A stdout that is closed mid-batch stops it: no
+further graph is started, and the run exits 3.
+
 Exit codes: 0 success (including incomplete audits), 1 usage error,
 2 an applicable bound failed during audit, 3 I/O or parse failure.
 """
@@ -210,13 +217,35 @@ def _read_single_graph(cfg: CliConfig) -> Graph:
     return graphs[0]
 
 
-def _emit(payload, fmt: str, render_text, out=None) -> None:
-    out = out or sys.stdout
-    if fmt == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+def _emit(payload, fmt: str, render_text, lead: Optional[str] = None) -> None:
+    """Write one payload in a single write: its ``render_text``, or its JSON
+    at indent 2 and a newline.  With ``lead``, the payload is one element of
+    the JSON array that ``_emit_each`` streams: its JSON is written after
+    ``lead``, shifted one level, and the array's close ends the line."""
+    if fmt != "json":
+        text = render_text(payload)
+    elif lead is None:
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        out.write(render_text(payload))
+        # JSON escapes the newlines inside strings, so every newline here
+        # starts a line of the layout
+        text = lead + json.dumps(payload, indent=2).replace("\n", "\n  ")
+    sys.stdout.write(text)
+
+
+def _emit_each(records, fmt: str, render_text) -> None:
+    """Write each of ``records`` as soon as it arrives, in order, and keep
+    none.  The bytes are those of the whole list written at once: the JSON
+    of ``json.dumps(records, indent=2)`` and a newline, or each record's
+    ``render_text`` in turn (one empty line when there is no record)."""
+    empty = True
+    for record in records:
+        _emit(record, fmt, render_text, "[\n  " if empty else ",\n  ")
+        empty = False
+    if fmt == "json":
+        sys.stdout.write("[]\n" if empty else "\n]\n")
+    elif empty:
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +270,35 @@ def _cmd_solve(args) -> int:
     for inv in wanted:
         if inv not in INVARIANT_IDS and not (inv.startswith("gamma_") and inv[6:].isdigit()):
             raise SpecError(f"unknown invariant {inv!r}; known: {', '.join(INVARIANT_IDS)}", 0)
-    results = []
-    for line in _read_graph_lines(cfg):
-        g = parse_graph6(line)
-        entry = {"graph6": line, "n": g.n, "results": []}
-        for inv in wanted:
-            try:
-                entry["results"].append(solve(g, inv, limits).to_json_dict())
-            except LimitExceeded as exc:
-                entry["results"].append({"invariant_id": inv, "error": str(exc)})
-        results.append(entry)
+    lines = _read_graph_lines(cfg)
+    # a malformed line fails the command before its first record is written
+    for line in lines:
+        parse_graph6(line)
 
-    def render(payload) -> str:
-        lines = []
-        for entry in payload:
-            lines.append(f"graph {entry['graph6']} (n={entry['n']})")
-            for res in entry["results"]:
-                if "error" in res:
-                    lines.append(f"  {res['invariant_id']}: skipped ({res['error']})")
-                else:
-                    w = res["witness"]
-                    wtxt = w.get("text") or w.get("sets") or w.get("edges")
-                    lines.append(f"  {res['invariant_id']} = {res['value']}  "
+    def entries():
+        for line in lines:
+            g = parse_graph6(line)
+            entry = {"graph6": line, "n": g.n, "results": []}
+            for inv in wanted:
+                try:
+                    entry["results"].append(solve(g, inv, limits).to_json_dict())
+                except LimitExceeded as exc:
+                    entry["results"].append({"invariant_id": inv, "error": str(exc)})
+            yield entry
+
+    def render(entry) -> str:
+        lines_out = [f"graph {entry['graph6']} (n={entry['n']})"]
+        for res in entry["results"]:
+            if "error" in res:
+                lines_out.append(f"  {res['invariant_id']}: skipped ({res['error']})")
+            else:
+                w = res["witness"]
+                wtxt = w.get("text") or w.get("sets") or w.get("edges")
+                lines_out.append(f"  {res['invariant_id']} = {res['value']}  "
                                  f"witness {wtxt}  nodes {res['nodes_explored']}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines_out) + "\n"
 
-    _emit(results, cfg.fmt, render)
+    _emit_each(entries(), cfg.fmt, render)
     return EXIT_OK
 
 
@@ -385,36 +417,43 @@ def _cmd_audit(args) -> int:
         raise SpecError("--workers must be positive", 0)
     audit_one = partial(_audit_one_line, limits=cfg.limits(), limit_n=cfg.limit_n)
     lines = _read_graph_lines(cfg)
+    violation = failed = False
+
+    def tally(reports):
+        nonlocal violation, failed
+        for rep in reports:
+            violation = violation or not rep.get("pass", True)
+            failed = failed or "error" in rep
+            yield rep
+
+    def render(rep) -> str:
+        if "error" in rep:
+            return f"{rep['graph6']}: ERROR {rep['error']}\n"
+        if "skipped" in rep:
+            return f"{rep['graph6']}: skipped ({rep['skipped']})\n"
+        verdict = "pass" if rep["pass"] else "FAIL"
+        extra = " (incomplete)" if rep["incomplete"] else ""
+        applicable = sum(1 for b in rep["bounds"] if b["applicable"])
+        lines_out = [f"{rep['graph6']}: {verdict}{extra} ({applicable} bounds applicable)"]
+        for b in rep["bounds"]:
+            if b["applicable"] and not b["holds"]:
+                lines_out.append(f"  VIOLATED {b['id']}: claimed {b['claimed']}, actual {b['actual']}")
+        return "\n".join(lines_out) + "\n"
+
     # A fork-based pool starts all its workers at the first submit, so never
     # ask for more workers than there are graphs.
     workers = min(cfg.workers, len(lines))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(audit_one, lines))
+            try:
+                _emit_each(tally(pool.map(audit_one, lines)), cfg.fmt, render)
+            except BaseException:
+                # leaving the pool waits for every queued graph unless they
+                # are cancelled first, as after a closed stdout
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
-        reports = [audit_one(line) for line in lines]
-    violation = any(not rep.get("pass", True) for rep in reports if "bounds" in rep)
-    failed = any("error" in rep for rep in reports)
-
-    def render(payload) -> str:
-        lines_out = []
-        for rep in payload:
-            if "error" in rep:
-                lines_out.append(f"{rep['graph6']}: ERROR {rep['error']}")
-            elif "skipped" in rep:
-                lines_out.append(f"{rep['graph6']}: skipped ({rep['skipped']})")
-            else:
-                verdict = "pass" if rep["pass"] else "FAIL"
-                extra = " (incomplete)" if rep["incomplete"] else ""
-                applicable = sum(1 for b in rep["bounds"] if b["applicable"])
-                lines_out.append(f"{rep['graph6']}: {verdict}{extra} "
-                                 f"({applicable} bounds applicable)")
-                for b in rep["bounds"]:
-                    if b["applicable"] and not b["holds"]:
-                        lines_out.append(f"  VIOLATED {b['id']}: claimed {b['claimed']}, actual {b['actual']}")
-        return "\n".join(lines_out) + "\n"
-
-    _emit(reports, cfg.fmt, render)
+        _emit_each(tally(map(audit_one, lines)), cfg.fmt, render)
     if failed:
         return EXIT_IO
     return EXIT_BOUND_VIOLATION if violation else EXIT_OK

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -18,8 +19,8 @@ import random
 from conftest import random_connected_graph
 
 
-def run(argv, stdin=""):
-    buf = io.StringIO()
+def run(argv, stdin="", out=None):
+    buf = io.StringIO() if out is None else out
     err = io.StringIO()
     old_in, old_out, old_err = sys.stdin, sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), buf, err
@@ -279,6 +280,27 @@ class TestConstruct:
         assert code == EXIT_USAGE and "complete" in err
 
 
+class InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: maps lazily in this process,
+    and logs the pool's size and each ``shutdown``'s ``cancel_futures``."""
+
+    def __init__(self, log, max_workers):
+        self.log = log
+        log.append(("pool", max_workers))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.log.append(("shutdown", cancel_futures))
+
+
 class TestAudit:
     def test_pass_exit_zero(self):
         code, out, _ = run(["audit", "--family", "cycle:5", "--format", "json"])
@@ -344,30 +366,16 @@ class TestAudit:
     def test_workers_capped_at_graph_count(self, monkeypatch):
         import domguard.cli as cli_mod
         pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", partial(InlinePool, pools))
         lines = [write_graph6(cycle(t)) for t in (3, 4, 5)]
         code, out, _ = run(["audit", "--workers", "500", "--format", "json"],
                            "\n".join(lines) + "\n")
-        assert code == EXIT_OK and pools == [3]
+        assert code == EXIT_OK and pools == [("pool", 3)]
         assert [rep["graph6"] for rep in json.loads(out)] == lines
         _, serial, _ = run(["audit", "--format", "json"], "\n".join(lines) + "\n")
         assert out == serial
         code, out, _ = run(["audit", "--workers", "500", "--format", "json"], lines[0] + "\n")
-        assert code == EXIT_OK and pools == [3]
+        assert code == EXIT_OK and pools == [("pool", 3)]
         assert [rep["graph6"] for rep in json.loads(out)] == lines[:1]
 
     def test_text_mode(self):
@@ -386,6 +394,169 @@ class TestAudit:
     def test_bad_workers_is_usage_error(self):
         code, _, _ = run(["audit", "--family", "path:4", "--workers", "0"])
         assert code == EXIT_USAGE
+
+
+# Today's whole-list output, kept here to check the streamed bytes against.
+def batch_json(records) -> str:
+    return json.dumps(records, indent=2) + "\n"
+
+
+def batch_audit_text(reports) -> str:
+    lines_out = []
+    for rep in reports:
+        if "error" in rep:
+            lines_out.append(f"{rep['graph6']}: ERROR {rep['error']}")
+        elif "skipped" in rep:
+            lines_out.append(f"{rep['graph6']}: skipped ({rep['skipped']})")
+        else:
+            verdict = "pass" if rep["pass"] else "FAIL"
+            extra = " (incomplete)" if rep["incomplete"] else ""
+            applicable = sum(1 for b in rep["bounds"] if b["applicable"])
+            lines_out.append(f"{rep['graph6']}: {verdict}{extra} "
+                             f"({applicable} bounds applicable)")
+            for b in rep["bounds"]:
+                if b["applicable"] and not b["holds"]:
+                    lines_out.append(f"  VIOLATED {b['id']}: claimed {b['claimed']}, actual {b['actual']}")
+    return "\n".join(lines_out) + "\n"
+
+
+def batch_solve_text(entries) -> str:
+    lines = []
+    for entry in entries:
+        lines.append(f"graph {entry['graph6']} (n={entry['n']})")
+        for res in entry["results"]:
+            if "error" in res:
+                lines.append(f"  {res['invariant_id']}: skipped ({res['error']})")
+            else:
+                w = res["witness"]
+                wtxt = w.get("text") or w.get("sets") or w.get("edges")
+                lines.append(f"  {res['invariant_id']} = {res['value']}  "
+                             f"witness {wtxt}  nodes {res['nodes_explored']}")
+    return "\n".join(lines) + "\n"
+
+
+class BrokenAfter(io.StringIO):
+    """A stdout whose reader goes away after ``ok`` writes."""
+
+    def __init__(self, ok):
+        super().__init__()
+        self.ok = ok
+
+    def write(self, text):
+        if self.ok == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.ok -= 1
+        return super().write(text)
+
+
+class TestStreaming:
+    """audit and solve write each record as it is computed; the bytes are
+    those of the whole list written at the end."""
+
+    @pytest.fixture(scope="class")
+    def mixed_lines(self):
+        import pathlib
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "all_graphs_n1_to_6.g6"
+        lines = fixture.read_text().split()
+        return lines[:100] + ["@@"] + [write_graph6(path(12))] + lines[100:]
+
+    @pytest.fixture(scope="class")
+    def mixed_reports(self, mixed_lines):
+        from domguard.cli import _audit_one_line
+        from domguard.solvers import DEFAULT_LIMITS
+        limits = DEFAULT_LIMITS.scaled(8)
+        return [_audit_one_line(line, limits, 8) for line in mixed_lines]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_audit_bytes_match_batch_output(self, mixed_lines, mixed_reports, workers):
+        assert "error" in mixed_reports[100] and "skipped" in mixed_reports[101]
+        stdin = "\n".join(mixed_lines) + "\n"
+        for fmt, expected in (("json", batch_json(mixed_reports)),
+                              ("text", batch_audit_text(mixed_reports))):
+            code, out, _ = run(["audit", "--format", fmt, "--limit-n", "8",
+                                "--workers", workers], stdin)
+            assert code == EXIT_IO and out == expected
+
+    def test_empty_input(self):
+        for cmd in ("audit", "solve"):
+            assert run([cmd, "--format", "json"], "") == (EXIT_OK, "[]\n", "")
+            assert run([cmd, "--format", "text"], "") == (EXIT_OK, "\n", "")
+
+    def test_solve_bytes_match_batch_output(self):
+        from domguard.solvers import DEFAULT_LIMITS, LimitExceeded, solve
+        graphs = [cycle(5), path(12), path(4)]
+        wanted = ["gamma", "gamma_secure"]
+        limits = DEFAULT_LIMITS.scaled(8)
+        entries = []
+        for g in graphs:
+            results = []
+            for inv in wanted:
+                try:
+                    results.append(solve(g, inv, limits).to_json_dict())
+                except LimitExceeded as exc:
+                    results.append({"invariant_id": inv, "error": str(exc)})
+            entries.append({"graph6": write_graph6(g), "n": g.n, "results": results})
+        assert sum("error" in r for e in entries for r in e["results"]) == 2
+        stdin = "".join(write_graph6(g) + "\n" for g in graphs)
+        for fmt, expected in (("json", batch_json(entries)), ("text", batch_solve_text(entries))):
+            code, out, _ = run(["solve", "--format", fmt, "--limit-n", "8",
+                                "--invariants", ",".join(wanted)], stdin)
+            assert code == EXIT_OK and out == expected
+
+    def test_solve_malformed_line_fails_before_any_record(self):
+        stdin = write_graph6(cycle(5)) + "\n@@\n"
+        for fmt in ("json", "text"):
+            code, out, err = run(["solve", "--format", fmt, "--invariants", "gamma"], stdin)
+            assert code == EXIT_IO and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_each_record_is_written_before_the_next_graph(self, monkeypatch, fmt):
+        import domguard.cli as cli_mod
+        lines = [write_graph6(cycle(t)) for t in (3, 4, 5, 6)]
+        real = cli_mod._audit_one_line
+        done = []
+
+        def audit_one(line, limits, limit_n):
+            written = sys.stdout.getvalue()
+            if fmt == "json":
+                records = json.loads(written + "\n]") if done else []
+                assert [rep["graph6"] for rep in records] == [rep["graph6"] for rep in done]
+            else:
+                assert written == (batch_audit_text(done) if done else "")
+            rep = real(line, limits, limit_n)
+            done.append(rep)
+            return rep
+
+        monkeypatch.setattr(cli_mod, "_audit_one_line", audit_one)
+        code, out, _ = run(["audit", "--format", fmt], "\n".join(lines) + "\n")
+        assert code == EXIT_OK and len(done) == len(lines)
+
+    def test_closed_stdout_stops_a_serial_audit(self, monkeypatch):
+        import domguard.cli as cli_mod
+        lines = [write_graph6(cycle(t)) for t in (3, 4, 5, 6, 7)]
+        real = cli_mod._audit_one_line
+        audited = []
+        monkeypatch.setattr(cli_mod, "_audit_one_line",
+                            lambda line, **kw: audited.append(line) or real(line, **kw))
+        for fmt in ("json", "text"):
+            audited.clear()
+            code, _, err = run(["audit", "--format", fmt], "\n".join(lines) + "\n",
+                               out=BrokenAfter(1))
+            assert code == EXIT_IO and err == "error: [Errno 32] Broken pipe\n"
+            assert audited == lines[:2]
+
+    def test_closed_stdout_cancels_the_pool(self, monkeypatch):
+        import domguard.cli as cli_mod
+        log = []
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", partial(InlinePool, log))
+        lines = [write_graph6(cycle(t)) for t in (3, 4, 5)]
+        code, _, err = run(["audit", "--workers", "2", "--format", "json"],
+                           "\n".join(lines) + "\n", out=BrokenAfter(1))
+        assert code == EXIT_IO and err == "error: [Errno 32] Broken pipe\n"
+        assert log == [("pool", 2), ("shutdown", True)]
+        log.clear()
+        code, _, _ = run(["audit", "--workers", "2", "--format", "json"], "\n".join(lines) + "\n")
+        assert code == EXIT_OK and log == [("pool", 2)]
 
 
 class TestNgAndConjecture:
