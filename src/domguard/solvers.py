@@ -19,9 +19,10 @@ secure and weak Roman solvers the search also cuts a partial set once its
 0-vertices with final guards that no lone guard can ever defend need more
 two-guard vertices than the set may hold.  The cut only drops sets that no
 allowed two-guard class makes weak Roman, so values and witnesses are those
-of the uncut search.  The k-domination solver likewise cuts a partial set
-once a vertex it leaves out can no longer reach k chosen neighbors; for
-k = 2 its cuts are exact, so the search yields only 2-dominating sets.
+of the uncut search.  For every k >= 2 the k-domination solver's search
+takes one set of coverage rules: it yields only 2-dominating sets, all of
+them for k = 2, and cuts a partial set once a vertex it leaves out can no
+longer reach k chosen neighbors.
 Every solver's search pushes a last pick only if it covers everything still
 uncovered.
 
@@ -91,9 +92,10 @@ class SolverLimits:
     The Roman cap (``roman_max_n``) and the k-domination cap
     (``kdomination_max_n``, for every k) are 24 too.  On the seed-1 and
     seed-2 random graphs of order 19–24 and their complements, in input
-    labels, the worst solve takes 6 ms for γ_R, 75 ms for γ_2 and 0.73 s
-    for γ_3 on a complement (0.49 s on a graph), on the same host.  In bandwidth order, the audit's γ_R and γ_2 on the 144 graphs of
-    one seed take 0.05–0.06 s and 0.37–0.48 s."""
+    labels, the worst solve takes 6 ms for γ_R, 75 ms for γ_2 and 0.22 s
+    for γ_3 on a complement (0.19 s on a graph), on the same host.  In
+    bandwidth order, the audit's γ_R and γ_2 on the 144 graphs of one seed
+    take 0.05–0.06 s and 0.37–0.48 s."""
 
     domination_max_n: int = 32
     weak_roman_max_n: int = 28
@@ -236,7 +238,7 @@ def _tables(g: Graph) -> _SearchTables:
 
 def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                           allowance: Optional[Callable[[int], int]] = None,
-                          reach: Optional[tuple[int, list[tuple[int, int]]]] = None,
+                          reach: Optional[list[tuple[int, int]]] = None,
                           orbits: Optional[tuple[int, Sequence[int]]] = None) -> Iterator[int]:
     """Dominating sets with a size in ``sizes``: size ascending, then in
     lexicographic order of their sorted member tuples.  The first set yielded
@@ -254,27 +256,24 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     child is pushed that leaves a vertex uncovered.  Once everything is
     covered the remaining picks are free and filled by plain combinations.
 
-    ``reach``, when given, is ``_k_reach(g, k)`` and turns on the k-coverage
-    cut: a node is cut when some non-member below ``i`` has fewer than k
-    chosen neighbors plus neighbors at index ``>= i``.  Picks come only from
-    ``i`` on, so no completion of the node is k-dominating.  For a
-    non-member, ``covered`` and ``twice`` are the vertices with at least one
-    and at least two chosen neighbors; for k >= 3 the test treats two chosen
-    neighbors as enough and cuts less.  It drops only sets that are not
-    k-dominating and keeps the rest in order.
-
-    For k = 2 the search is exact: it yields only 2-dominating sets.  A
-    node's need is U ∪ O, where U holds the uncovered vertices and O the
-    non-members with exactly one chosen neighbor.  A pick j meets at most
-    |N[j]| + 1 units of the 2|U| + |O| still owed, so the node is cut when
-    that sum exceeds r · (maxcov + 1).  A last pick leaves every other
-    vertex of U with one neighbor at most, so with two vertices in U the
-    node is cut, and otherwise the pick is U's vertex, if any, and lies in
-    N[v] for every v in O.  The children stop at the first ``j`` past which
-    a vertex of U below ``j`` has fewer than two neighbors at index
-    ``>= j``, or a vertex of O below ``j`` has none, read from
-    ``reach[j]``.  This makes the node test above redundant, so it is
-    skipped, and a node with no need is 2-dominating with every superset.
+    ``reach``, when given, is ``_k_reach(g, k)`` for some k >= 2 and turns
+    on the k-coverage rules.  They ask only what every 2-dominating
+    completion must have, and every k-dominating set is 2-dominating, so
+    they drop only sets that are not k-dominating and keep the rest in
+    order.  A node's need is U ∪ O, where U holds the uncovered vertices and
+    O the non-members with exactly one chosen neighbor (``covered`` and
+    ``twice`` hold the vertices with at least one and at least two).  A pick
+    j meets at most |N[j]| + 1 units of the 2|U| + |O| still owed, so the
+    node is cut when that sum exceeds r · (maxcov + 1).  A last pick leaves
+    every other vertex of U with one neighbor at most, so with two vertices
+    in U the node is cut, and otherwise the pick is U's vertex, if any, and
+    lies in N[v] for every v in O.  The children stop at the first ``j``
+    past which a vertex of U below ``j`` has fewer than k neighbors at
+    index ``>= j``, or a vertex of O below ``j`` fewer than k - 1, read from
+    ``reach[j]``: picks come only from ``j`` on, so no completion gives that
+    vertex k chosen neighbors.  A node with no need is 2-dominating with
+    every superset, so the search yields only 2-dominating sets, and for
+    k = 2 every one of them.
 
     ``allowance(size)``, when given, is the number k of two-guard vertices a
     set of that size may hold, and turns on the protection cut.  A 0-vertex
@@ -306,10 +305,6 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     """
     n, full, closed, adj = t.g.n, t.g.full_mask, t.g.closed, t.g.adj
     maxcov, suffix, ball2 = t.maxcov, t.suffix, t.ball2
-    rows, exact = None, False
-    if reach is not None:
-        k_cover, rows = reach
-        exact = k_cover == 2
     for size in sizes:
         k = None if allowance is None else allowance(size)
         # (chosen, covered, covered twice, next index, picks left, the
@@ -320,33 +315,33 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
             chosen, covered, twice, i, r, parent_i, used, hits = stack.pop()
             counter[0] += 1
             need = unc = full & ~covered
-            if exact:
+            if reach is not None:
                 # Non-members with one chosen neighbor need one more.
                 once = covered & ~twice & ~chosen
                 need = unc | once
             if need:
-                if exact:
+                if reach is not None:
                     if 2 * unc.bit_count() + once.bit_count() > r * (maxcov + 1):
                         continue
                 elif unc.bit_count() > r * maxcov:
                     continue
                 if r == 1:
                     # The last pick must meet every need on its own.
-                    last = full >> i << i
+                    kids = full >> i << i
                     m = unc
-                    if exact:
+                    if reach is not None:
                         # An uncovered vertex left out gets one neighbor at
                         # most, so the last pick must be that vertex.
                         if unc & unc - 1:
                             continue
                         if unc:
-                            last &= unc
+                            kids &= unc
                         m = once
                     while m:
                         low = m & -m
-                        last &= closed[low.bit_length() - 1]
+                        kids &= closed[low.bit_length() - 1]
                         m ^= low
-                    if not last:
+                    if not kids:
                         continue
                 elif unc:
                     # Uncovered vertices pairwise more than two apart need distinct picks.
@@ -357,10 +352,6 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                             break
                     else:
                         continue
-            if rows is not None and not exact:
-                one_short, enough = rows[i]
-                if ~chosen & (1 << i) - 1 & ~(twice | covered & one_short | enough):
-                    continue
             if k is not None:
                 fresh = suffix[parent_i] & ~suffix[i] & ~chosen
                 # Vertices covered once that no later pick can reach.
@@ -392,45 +383,35 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                     yield m
                 continue
             # The children are the picks j >= i up to the first j past which
-            # some uncovered vertex has no neighbor left (for the last pick,
-            # the j that cover all of them); push them so that the lowest j
-            # is popped first.
-            if r == 1:
-                if orbits is not None and size - r < 2:
-                    last &= orbits[0] if r == size else orbits[1][i - 1]
-                while last:
-                    j = last.bit_length() - 1
-                    last ^= 1 << j
-                    push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
-                          j + 1, 0, i, used, hits))
-                continue
-            end = i
-            if exact:
-                while end <= n - r:
-                    one_short, enough = rows[end]
-                    if (unc & ~enough | once & ~one_short) & (1 << end) - 1:
-                        break
-                    end += 1
-            else:
-                while end <= n - r and not unc & ~suffix[end]:
-                    end += 1
+            # some vertex can no longer get what it needs (for the last pick,
+            # the j that meet every need); push them so that the lowest j is
+            # popped first.
+            if r > 1:
+                end = i
+                if reach is not None:
+                    while end <= n - r:
+                        one_short, enough = reach[end]
+                        if (unc & ~enough | once & ~one_short) & (1 << end) - 1:
+                            break
+                        end += 1
+                else:
+                    while end <= n - r and not unc & ~suffix[end]:
+                        end += 1
+                kids = (1 << end) - (1 << i)
             if orbits is not None and size - r < 2:
                 # The root's or a depth-1 node's children: the orbit cut.
-                top = orbits[0] if r == size else orbits[1][i - 1]
-                for j in range(end - 1, i - 1, -1):
-                    if top >> j & 1:
-                        push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
-                              j + 1, r - 1, i, used, hits))
-                continue
-            for j in range(end - 1, i - 1, -1):
+                kids &= orbits[0] if r == size else orbits[1][i - 1]
+            while kids:
+                j = kids.bit_length() - 1
+                kids ^= 1 << j
                 push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
                       j + 1, r - 1, i, used, hits))
 
 
-def _domination_number(t: _SearchTables, counter: list[int]) -> int:
-    """γ(g): the size of the first dominating set of the lex-ordered search."""
-    return next(_lex_dominating_masks(t, range(t.g.n + 1), counter,
-                                      orbits=t.orbits)).bit_count()
+def _gamma_mask(t: _SearchTables, counter: list[int]) -> int:
+    """The lex-least minimum dominating set of ``t.g``: the first set of the
+    lex-ordered search, with the orbit cut."""
+    return next(_lex_dominating_masks(t, range(t.g.n + 1), counter, orbits=t.orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +422,15 @@ def gamma(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Domination number with the lexicographically least minimum dominating set."""
     _check(limits, "gamma", g.n, "domination_max_n")
     counter = [0]
-    t = _tables(g)
-    witness = next(_lex_dominating_masks(t, range(g.n + 1), counter, orbits=t.orbits))
+    witness = _gamma_mask(_tables(g), counter)
     return SolveResult("gamma", witness.bit_count(), VertexSet(witness, g.n), counter[0])
 
 
-def _k_reach(g: Graph, k: int) -> tuple[int, list[tuple[int, int]]]:
-    """The k-coverage tables of ``_lex_dominating_masks``: k, and rows whose
-    entry ``i`` holds the vertices with at least k - 1 and with at least k
-    neighbors at index >= i, the neighbors that picks from ``i`` on can
-    still add."""
+def _k_reach(g: Graph, k: int) -> list[tuple[int, int]]:
+    """The k-coverage tables of ``_lex_dominating_masks`` for k >= 2: rows
+    whose entry ``i`` holds the vertices with at least k - 1 and with at
+    least k neighbors at index >= i, the neighbors that picks from ``i`` on
+    can still add."""
     n, adj = g.n, g.adj
     rows = []
     for i in range(n + 1):
@@ -462,7 +442,7 @@ def _k_reach(g: Graph, k: int) -> tuple[int, list[tuple[int, int]]]:
                 if later >= k:
                     enough |= 1 << v
         rows.append((one_short, enough))
-    return k, rows
+    return rows
 
 
 def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveResult:
@@ -471,17 +451,16 @@ def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveRes
     pass over the dominating sets in canonical order (size ascending, then
     lex) checks each with ``kdom_mask``, starting at the number of vertices of
     degree below k, which every k-dominating set must hold.  For k >= 2 the
-    search takes the k-coverage cut, which drops only sets that are not
-    k-dominating; for k = 2 it drops all of them, so the first set yielded
-    passes.  Each set tested is one node, and the first hit is the
+    search takes the k-coverage rules: it yields only 2-dominating sets and
+    drops only sets that are not k-dominating, so for k = 2 the first set
+    yielded passes.  Each set tested is one node, and the first hit is the
     witness."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check(limits, f"gamma_{k}", g.n, "kdomination_max_n")
     counter = [0]
     forced = sum(1 for v in range(g.n) if g.degree(v) < k)
-    # For k = 1 the child bound already keeps every uncovered vertex within
-    # reach of a later pick, so the k-coverage cut would never fire.
+    # The k-coverage rules ask for 2-domination, so k = 1 takes the plain search.
     reach = _k_reach(g, k) if k > 1 else None
     t = _tables(g)
     for mask in _lex_dominating_masks(t, range(forced, g.n + 1), counter, reach=reach,
@@ -571,7 +550,7 @@ def gamma_weak_roman(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     _check(limits, "gamma_weak_roman", g.n, "weak_roman_max_n")
     counter = [0]
     t = _tables(g)
-    gval = _domination_number(t, counter)
+    gval = _gamma_mask(t, counter).bit_count()
     for weight in range(gval, 2 * gval + 1):
         supports = range(max((weight + 1) // 2, gval), weight + 1)
         witness = _lex_wrdf(t, weight, supports, counter)
@@ -830,7 +809,7 @@ def enumerate_gamma_sets(g: Graph, limits: Optional[SolverLimits] = None) -> lis
     _check(limits, "gamma_sets", g.n, "gamma_sets_max_n")
     counter = [0]
     t = _tables(g)
-    gval = _domination_number(t, counter)
+    gval = _gamma_mask(t, counter).bit_count()
     return [VertexSet(m, g.n) for m in _lex_dominating_masks(t, range(gval, gval + 1), counter)]
 
 
@@ -857,7 +836,7 @@ def tau(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     _check(limits, "tau", g.n, "gamma_sets_max_n")
     counter = [0]
     t = _tables(g)
-    gval = _domination_number(t, counter)
+    gval = _gamma_mask(t, counter).bit_count()
     best = -1
     best_mask = 0
     for m in _lex_dominating_masks(t, range(gval, gval + 1), counter):

@@ -88,11 +88,19 @@ class TestGammaK:
 
     def test_oracle_equivalence_all_n6(self, corpus_all_n6):
         for g in corpus_all_n6:
-            for k in (1, 2, 3):
+            for k in (1, 2, 3, 4):
                 res = gamma_k(g, k)
                 value, members = oracles.brute_gamma_k(g, k)
                 assert res.value == value
                 assert res.witness.members() == tuple(sorted(members))
+
+    def test_three_nodes_pinned(self):
+        """The hardest 24-vertex graph of the random_audit draw (seed 1)
+        for γ_3's search, in input labels."""
+        g = parse_graph6("W?ko?`H_Ca?GO@qoGJ[HLCoSnHP?I??@wFUu?wOQdOeKM?c")
+        res = gamma_k(g, 3)
+        assert (g.n, res.value, res.nodes_explored) == (24, 9, 76491)
+        assert res.witness.members() == (2, 3, 7, 9, 12, 13, 15, 21, 22)
 
     def test_k1_is_domination(self, corpus_all_n6):
         for g in corpus_all_n6:
@@ -478,24 +486,25 @@ def test_search_matches_plain_scan(corpus, request):
 
 def test_k_coverage_cut_is_sound_all_n6(corpus_all_n6):
     """The k-coverage cut of the dominating-set search, on every graph with
-    n <= 6, every set size and k in {1, 2, 3}: the cut search yields an
-    order-preserving subsequence of the uncut one, and every set it drops
-    is not k-dominating."""
+    n <= 6, every set size and k in {2, 3, 4}: the cut search yields an
+    order-preserving subsequence of the uncut one, every set it keeps is
+    2-dominating, and every set it drops is not k-dominating."""
     dropped = 0
     for g in corpus_all_n6:
         t = _SearchTables(g)
         for size in range(g.n + 1):
             sizes = range(size, size + 1)
             uncut = list(_lex_dominating_masks(t, sizes, [0]))
-            for k in (1, 2, 3):
+            for k in (2, 3, 4):
                 cut = list(_lex_dominating_masks(t, sizes, [0], reach=_k_reach(g, k)))
                 rest = iter(uncut)
                 assert all(m in rest for m in cut)
+                assert all(kdom_mask(g, m, 2) for m in cut)
                 for smask in set(uncut) - set(cut):
                     members = {v for v in range(g.n) if smask >> v & 1}
                     assert not oracles.naive_is_kdom(g, members, k)
                     dropped += 1
-    assert dropped == 6822
+    assert dropped == 13475
 
 
 @pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
