@@ -5,11 +5,11 @@ Writes one JSON line per (graph, invariant) pair for every entry of
 ``solvers.INVARIANT_IDS``, and for ``gamma_3`` on the sets named in
 ``GAMMA_3_SETS``: the ``SolveResult.to_json_dict()`` under the default
 limits, or the ``LimitExceeded`` message when the order is over a cap.  Two
-snapshots of different trees then compare with ``diff``:
+snapshots of different trees then compare line by line:
 
     PYTHONPATH=src python3 scripts/solver_snapshot.py > after.jsonl
     PYTHONPATH=/path/to/other/src python3 scripts/solver_snapshot.py > before.jsonl
-    diff before.jsonl after.jsonl
+    python3 scripts/snapshot_diff.py before.jsonl after.jsonl
 
 Each graph then gets one line, marked ``"via": "InvariantCache"``, for
 each of ``gamma_weak_roman`` and ``gamma_secure`` as ``bounds.InvariantCache``
@@ -29,8 +29,8 @@ that differ in ``nodes_explored`` only.  The graph sets, in output order:
 Last come single solves on large symmetric graphs, one line each, which the
 sets above barely reach: ``gamma_secure`` of the prism conjecture scan's
 graphs, C_t x K2 for t = 3..14 and P_t x K2 for t = 2..14 (set
-``conjecture``), and ``gamma_weak_roman`` of C16xK2 under a raised order cap
-(set ``frontier``).
+``conjecture``), and ``gamma_weak_roman`` and ``gamma_secure`` of C16xK2
+under raised order caps (set ``frontier``).
 """
 
 import json
@@ -77,8 +77,9 @@ def symmetric_solves():
         yield "conjecture", cartesian_product(cycle(t), complete(2)), "gamma_secure", None
     for t in range(2, 15):
         yield "conjecture", cartesian_product(path(t), complete(2)), "gamma_secure", None
-    yield ("frontier", cartesian_product(cycle(16), complete(2)), "gamma_weak_roman",
-           SolverLimits(weak_roman_max_n=32))
+    c16 = cartesian_product(cycle(16), complete(2))
+    yield "frontier", c16, "gamma_weak_roman", SolverLimits(weak_roman_max_n=32)
+    yield "frontier", c16, "gamma_secure", SolverLimits(secure_max_n=32)
 
 
 def emit(line: dict, compute) -> None:

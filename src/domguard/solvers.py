@@ -31,15 +31,21 @@ set D fixes the function, and for each size of D a max-coverage branch and
 bound finds the lex-first D with the largest closed neighborhood.
 
 The solvers that stop at a first hit (γ, k-domination, weak Roman with its
-γ pre-pass, secure) also take an orbit cut on the first two picks of graphs
-of order at least ``ORBIT_CUT_MIN_N``.  A pick j is skipped when an
-automorphism σ that fixes the picks so far maps j lower.  Every index below
-j is decided, so each completion S has σ(S) <lex S, and σ(S) passes the
-same test as S: the lex-least hit, the least of its orbit, is never cut,
-so values and witnesses are those of the uncut search.  The automorphisms
-come from ``graph.automorphisms``, once per graph.  Smaller graphs skip
-the cut: their searches are too small to pay for the automorphism search.
-The γ-set list and tau need every minimum set and never take the cut.
+γ pre-pass, secure) also take a symmetry cut on graphs of order at least
+``ORBIT_CUT_MIN_N``: the lex-leader rule of Crawford, Ginsberg, Luks and
+Roy (*Symmetry-breaking predicates for search problems*, KR 1996) at every
+depth.  A child with member set A is cut when some listed automorphism σ
+has σ(A) <lex A in the search's order, sorted member tuples.  A completion
+S adds only indices above max(A), which lies above min(σ(A) Δ A), so
+σ(S) <lex S too, and σ(S) passes the same test as S: the lex-least hit,
+the least of its orbit, is never cut, so values and witnesses are those of
+the uncut search.  The automorphisms come from ``graph.automorphisms``,
+once per graph, packed one per lane of a big integer, so one test per
+child checks them all.  On the first two picks the cut also skips every
+pick that an element of the group they generate, fixing the picks so far,
+maps lower.  Smaller graphs skip the cut: their searches are too small to
+pay for the automorphism search.  The γ-set list and tau need every
+minimum set and never take the cut.
 
 Coloring (``chromatic_number``, and ``clique_cover`` as the coloring of the
 complement) is a DSATUR branch and bound (``_dsatur``): its best leaf is
@@ -156,10 +162,11 @@ def _check(limits: Optional[SolverLimits], invariant: str, n: int, limit_name: s
 # Dominating-set enumeration kernels.
 # ---------------------------------------------------------------------------
 
-# Graphs below this order skip the orbit cut: their searches are too small
-# for the cut to pay for the automorphism search.  On the 996 connected
-# graphs of order up to 7, the cut takes the four first-hit searches from
-# 81,694 to 69,985 nodes, but their time rises by about half.
+# Graphs below this order skip the symmetry cut: their searches are too
+# small for the cut to pay for the automorphism search.  On the 996
+# connected graphs of order up to 7, the cut takes the four first-hit
+# searches from 59,274 to 51,770 nodes, but their CPU time rises by about
+# two thirds, from 0.14 s to 0.23 s on a shared 2-vCPU host.
 ORBIT_CUT_MIN_N = 16
 
 
@@ -183,20 +190,36 @@ def _orbit_minima(n: int, elements: Sequence[tuple[int, ...]]) -> int:
     return minima
 
 
-def _orbit_masks(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
-    """The tables of the orbit cut, ``(first, second)``, or None when
-    ``automorphisms(g)`` finds only the identity.  ``first`` holds the
-    vertices that are the least of their orbit; for p in ``first``,
-    ``second[p]`` holds those that are the least of their orbit under the
-    elements fixing p (0 for other p)."""
-    group = automorphisms(g)
-    if len(group) < 2:
-        return None
-    first = _orbit_minima(g.n, group)
-    second = [0] * g.n
+def _orbit_masks(n: int, group: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """The two-level orbit tables, ``(first, second)``, of the group that
+    ``group`` generates.  ``first`` holds the vertices that are the least of
+    their orbit; for p in ``first``, ``second[p]`` holds those that are the
+    least of their orbit under the elements fixing p (0 for other p)."""
+    first = _orbit_minima(n, group)
+    second = [0] * n
     for p in iter_bits(first):
-        second[p] = _orbit_minima(g.n, [sigma for sigma in group if sigma[p] == p])
+        second[p] = _orbit_minima(n, [sigma for sigma in group if sigma[p] == p])
     return first, tuple(second)
+
+
+def _lanes(n: int, group: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
+    """The lane tables of the lex-leader test, ``(step, guard)``.  Vertex v
+    weighs w(v) = 2^(n-1-v), so for sets A and B, w(A) > w(B) exactly when
+    min(A Δ B) lies in A.  Each non-identity element σ of ``group`` gets a
+    lane of n + 1 bits; ``step[v]`` adds w(v) - w(σ(v)) in each σ's lane,
+    and ``guard`` holds bit n of each lane.  Starting from ``guard``, the
+    steps of a set A leave 2^n + w(A) - w(σ(A)) in σ's lane: a value in
+    [1, 2^(n+1)), so no lane borrows from or carries into the next."""
+    identity = tuple(range(n))
+    step, guard, shift = [0] * n, 0, 0
+    for sigma in group:
+        if sigma == identity:
+            continue
+        for v in range(n):
+            step[v] += (1 << shift + n - 1 - v) - (1 << shift + n - 1 - sigma[v])
+        guard |= 1 << shift + n
+        shift += n + 1
+    return tuple(step), guard
 
 
 class _SearchTables:
@@ -208,11 +231,19 @@ class _SearchTables:
     cover.  Its complement holds the vertices whose closed neighborhood lies
     wholly below ``i``: once the search has passed ``i`` their guards are
     final.  ``ball2[u]`` holds the vertices within distance two of ``u``.
-    ``orbits`` is ``_orbit_masks(g)`` for graphs of order at least
-    ``ORBIT_CUT_MIN_N``, and None for smaller ones.
+
+    The symmetry cut's tables come from one ``automorphisms(g)`` call, on
+    graphs of order at least ``ORBIT_CUT_MIN_N``.  ``orbits`` is
+    ``_orbit_masks`` of the listed elements: orbits of the group they
+    generate, which can be larger than the list.  It is None when the list
+    holds only the identity, or on smaller graphs.  ``lanes`` is ``_lanes``
+    of them: the listed non-identity elements packed one per lane of n + 1
+    bits, so that one big-int addition and test per child compares σ(A)
+    with A for all of them at once.  With no such element it has no lane,
+    and its test passes every set.
     """
 
-    __slots__ = ("g", "maxcov", "suffix", "ball2", "orbits")
+    __slots__ = ("g", "maxcov", "suffix", "ball2", "orbits", "lanes")
 
     def __init__(self, g: Graph):
         n, closed = g.n, g.closed
@@ -225,7 +256,9 @@ class _SearchTables:
         for u in range(n):
             for x in iter_bits(closed[u]):
                 ball2[u] |= closed[x]
-        self.orbits = _orbit_masks(g) if n >= ORBIT_CUT_MIN_N else None
+        group = automorphisms(g) if n >= ORBIT_CUT_MIN_N else ()
+        self.orbits = _orbit_masks(n, group) if len(group) > 1 else None
+        self.lanes = _lanes(n, group)
 
 
 @lru_cache(maxsize=8)
@@ -239,7 +272,7 @@ def _tables(g: Graph) -> _SearchTables:
 def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                           allowance: Optional[Callable[[int], int]] = None,
                           reach: Optional[list[tuple[int, int]]] = None,
-                          orbits: Optional[tuple[int, Sequence[int]]] = None) -> Iterator[int]:
+                          symmetry: bool = False) -> Iterator[int]:
     """Dominating sets with a size in ``sizes``: size ascending, then in
     lexicographic order of their sorted member tuples.  The first set yielded
     over ``range(g.n + 1)`` is the lex-least minimum dominating set.
@@ -290,29 +323,43 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     and the sets it keeps stay in order, so a solver's first hit is
     unchanged.
 
-    ``orbits``, when given, is ``t.orbits`` and turns on the orbit cut at
-    the top of the search: the root's children skip every ``j`` outside
-    ``first``, and the children of a node whose one pick is p skip every
-    ``j`` outside ``second[p]``.  A skipped ``j`` has an automorphism σ
-    that fixes the picks so far and maps ``j`` lower.  Every index below
-    ``j`` is decided, so every completion S has σ(S) <lex S: min(S Δ σ(S))
-    lies in σ(S), below ``j``.  Domination, k-domination and the secure and
-    weak Roman conditions are invariant under σ, so the lex-least set of a
-    size that passes a solver's test, the least of its orbit, is never cut,
-    and the sets kept stay in order: a solver's first hit is unchanged.  A
-    search that must yield every set, such as the γ-set list, does not
-    pass it.  Deeper nodes never read it.
+    ``symmetry`` turns on the symmetry cut, with the tables ``t.orbits`` and
+    ``t.lanes``; without it the search takes lane tables with no lane, whose
+    test passes every set.  At every depth a child with member set A is cut
+    when some listed automorphism σ has σ(A) <lex A, that is min(σ(A) Δ A) ∈
+    σ(A), since the sets have one size; the free fill tests each set it
+    yields the same way.  Each node carries its lane values from
+    ``t.lanes``: in σ's lane, 2^n + w(A) - w(σ(A)), where w(v) = 2^(n-1-v).
+    A child adds ``step[j]``, and a lane's guard bit clears exactly when
+    w(σ(A)) > w(A), that is when x = min(σ(A) Δ A) lies in σ(A): one big-int
+    addition and one test per child, whatever the number of lanes.  Then x
+    lies below max(A), since |σ(A)| = |A| and x ∈ σ(A) \\ A.  So a completion
+    S, which adds only indices above max(A), has S ∩ [0, x) = A ∩ [0, x), a
+    subset of σ(S), and x ∈ σ(S) \\ S: σ(S) <lex S.  The root's children also
+    skip every ``j`` outside ``first`` of ``t.orbits`` and the children of a
+    node whose one pick is p every ``j`` outside ``second[p]``: orbits of
+    the generated group, which the listed elements alone may not reach.  A
+    skipped ``j`` has an automorphism σ that fixes the picks so far and maps
+    ``j`` lower, so again σ(S) <lex S.  Domination, k-domination and the
+    secure and weak Roman conditions are invariant under σ, so the lex-least
+    set of a size that passes a solver's test, the least of its orbit, is
+    never cut, and the sets kept stay in order: a solver's first hit is
+    unchanged.  A search that must yield every set, such as the γ-set list,
+    does not turn it on.
     """
     n, full, closed, adj = t.g.n, t.g.full_mask, t.g.closed, t.g.adj
     maxcov, suffix, ball2 = t.maxcov, t.suffix, t.ball2
+    orbits = t.orbits if symmetry else None
+    step, guard = t.lanes if symmetry else _lanes(n, ())
     for size in sizes:
         k = None if allowance is None else allowance(size)
         # (chosen, covered, covered twice, next index, picks left, the
-        # parent's next index, union and count of disjoint required sets)
-        stack = [(0, 0, 0, 0, size, 0, 0, 0)]
+        # parent's next index, union and count of disjoint required sets,
+        # the lane values of chosen)
+        stack = [(0, 0, 0, 0, size, 0, 0, 0, guard)]
         push = stack.append
         while stack:
-            chosen, covered, twice, i, r, parent_i, used, hits = stack.pop()
+            chosen, covered, twice, i, r, parent_i, used, hits, lex = stack.pop()
             counter[0] += 1
             need = unc = full & ~covered
             if reach is not None:
@@ -377,10 +424,12 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                     continue
             if not need:
                 for extra in combinations(range(i, n), r):
-                    m = chosen
+                    m, x = chosen, lex
                     for b in extra:
                         m |= 1 << b
-                    yield m
+                        x += step[b]
+                    if x & guard == guard:
+                        yield m
                 continue
             # The children are the picks j >= i up to the first j past which
             # some vertex can no longer get what it needs (for the last pick,
@@ -404,14 +453,18 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
             while kids:
                 j = kids.bit_length() - 1
                 kids ^= 1 << j
-                push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
-                      j + 1, r - 1, i, used, hits))
+                x = lex + step[j]
+                # Each lane holds 2^n + w(A) - w(σ(A)), so its guard bit is
+                # clear when σ(A) <lex A.
+                if x & guard == guard:
+                    push((chosen | 1 << j, covered | closed[j], twice | covered & closed[j],
+                          j + 1, r - 1, i, used, hits, x))
 
 
 def _gamma_mask(t: _SearchTables, counter: list[int]) -> int:
     """The lex-least minimum dominating set of ``t.g``: the first set of the
     lex-ordered search, with the orbit cut."""
-    return next(_lex_dominating_masks(t, range(t.g.n + 1), counter, orbits=t.orbits))
+    return next(_lex_dominating_masks(t, range(t.g.n + 1), counter, symmetry=True))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +517,7 @@ def gamma_k(g: Graph, k: int, limits: Optional[SolverLimits] = None) -> SolveRes
     reach = _k_reach(g, k) if k > 1 else None
     t = _tables(g)
     for mask in _lex_dominating_masks(t, range(forced, g.n + 1), counter, reach=reach,
-                                      orbits=t.orbits):
+                                      symmetry=True):
         counter[0] += 1
         if kdom_mask(g, mask, k):
             return SolveResult(f"gamma_{k}", mask.bit_count(), VertexSet(mask, g.n), counter[0])
@@ -486,7 +539,7 @@ def _lex_wrdf(t: _SearchTables, weight: int, supports: range,
     """
     g = t.g
     for smask in _lex_dominating_masks(t, supports, counter, lambda size: weight - size,
-                                       orbits=t.orbits):
+                                       symmetry=True):
         unsafe = list(unsafe_zeros(g, smask))
         members = list(iter_bits(smask))
         for dcombo in combinations(members, weight - smask.bit_count()):
@@ -529,7 +582,7 @@ def gamma_secure(g: Graph, limits: Optional[SolverLimits] = None,
     counter = [0]
     t = _tables(g)
     for smask in _lex_dominating_masks(t, range(start, g.n + 1), counter, lambda size: 0,
-                                       orbits=t.orbits):
+                                       symmetry=True):
         counter[0] += 1
         if next(unsafe_zeros(g, smask), None) is None:
             return SolveResult("gamma_secure", smask.bit_count(), VertexSet(smask, g.n),

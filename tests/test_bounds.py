@@ -141,10 +141,10 @@ class TestAudit:
         inside = []
         search, secure = solvers._lex_dominating_masks, bounds_mod.gamma_secure
 
-        def counted_search(t, sizes, counter, allowance=None, reach=None, orbits=None):
+        def counted_search(t, sizes, counter, allowance=None, reach=None, symmetry=False):
             if inside:
                 calls[-1][1].append(sizes)
-            return search(t, sizes, counter, allowance, reach, orbits)
+            return search(t, sizes, counter, allowance, reach, symmetry)
 
         def traced_secure(g, *args):
             calls.append((g, []))
