@@ -9,6 +9,11 @@ totals of each side, and how many counts rose and fell, with the largest
 changes.  A search change that keeps every value and witness differs only
 in ``nodes_explored``.  Exits 1 when some line differs beyond it, or when
 one snapshot has lines the other lacks, and 0 otherwise.
+
+Both snapshots should come from one copy of ``solver_snapshot.py``, run
+once per tree with ``PYTHONPATH`` set to that tree's ``src``: a copy with
+more solves, such as a longer ``frontier`` set, writes more lines, and the
+extra lines read as a difference.
 """
 
 import json

@@ -29,8 +29,12 @@ that differ in ``nodes_explored`` only.  The graph sets, in output order:
 Last come single solves on large symmetric graphs, one line each, which the
 sets above barely reach: ``gamma_secure`` of the prism conjecture scan's
 graphs, C_t x K2 for t = 3..14 and P_t x K2 for t = 2..14 (set
-``conjecture``), and ``gamma_weak_roman`` and ``gamma_secure`` of C16xK2
-under raised order caps (set ``frontier``).
+``conjecture``), then the set ``frontier``: ``gamma_weak_roman`` and
+``gamma_secure`` of C16xK2 and of the hypercube Q5 under raised order caps,
+and ``gamma``, ``gamma_2``, ``gamma_weak_roman`` and ``gamma_secure`` of
+K4xK4.  Q5 (3,840 automorphisms) and K4xK4 (1,152) have more automorphisms
+than ``graph.automorphisms`` lists by default (4n), so the symmetry cut
+there uses only part of the group, and the diff covers that case too.
 """
 
 import json
@@ -43,7 +47,8 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so another tree's src ca
 
 from bench.workloads import DEFAULT_SEED, random_audit_lines  # noqa: E402
 from domguard.bounds import InvariantCache, audit  # noqa: E402
-from domguard.graph import cartesian_product, complement, complete, cycle, path  # noqa: E402
+from domguard.graph import (cartesian_product, complement, complete, cycle, hamming,  # noqa: E402
+                            hypercube, path)
 from domguard.graph6 import parse_graph6, write_graph6  # noqa: E402
 from domguard.solvers import INVARIANT_IDS, LimitExceeded, SolverLimits, solve  # noqa: E402
 
@@ -77,9 +82,11 @@ def symmetric_solves():
         yield "conjecture", cartesian_product(cycle(t), complete(2)), "gamma_secure", None
     for t in range(2, 15):
         yield "conjecture", cartesian_product(path(t), complete(2)), "gamma_secure", None
-    c16 = cartesian_product(cycle(16), complete(2))
-    yield "frontier", c16, "gamma_weak_roman", SolverLimits(weak_roman_max_n=32)
-    yield "frontier", c16, "gamma_secure", SolverLimits(secure_max_n=32)
+    for g in (cartesian_product(cycle(16), complete(2)), hypercube(5)):
+        yield "frontier", g, "gamma_weak_roman", SolverLimits(weak_roman_max_n=32)
+        yield "frontier", g, "gamma_secure", SolverLimits(secure_max_n=32)
+    for inv in ("gamma", "gamma_2", "gamma_weak_roman", "gamma_secure"):
+        yield "frontier", hamming(2, 4), inv, None
 
 
 def emit(line: dict, compute) -> None:

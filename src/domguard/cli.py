@@ -41,7 +41,8 @@ from .graph6 import EdgeListError, Graph6Error, parse_graph6, write_graph6
 from .protection import (GuardFunction, ProtectionError, defense_moves,
                          first_failing_vertex, is_df, is_k_dominating, is_rdf,
                          is_secure_dominating, is_wrdf)
-from .solvers import DEFAULT_LIMITS, INVARIANT_IDS, LimitExceeded, SolverLimits, solve
+from .solvers import (DEFAULT_LIMITS, INVARIANT_IDS, LimitExceeded, SolverLimits, solve,
+                      solver)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,7 +89,7 @@ _G6_CHARS = frozenset(chr(c) for c in range(63, 127))
 
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
     end = pos
-    while end < len(text) and text[end].isdigit():
+    while end < len(text) and "0" <= text[end] <= "9":
         end += 1
     if end == pos:
         raise SpecError("expected an integer", pos)
@@ -268,8 +269,7 @@ def _cmd_solve(args) -> int:
     limits = cfg.limits()
     wanted = args.invariants.split(",") if args.invariants else ["gamma", "gamma_weak_roman", "gamma_secure"]
     for inv in wanted:
-        if inv not in INVARIANT_IDS and not (inv.startswith("gamma_") and inv[6:].isdigit()):
-            raise SpecError(f"unknown invariant {inv!r}; known: {', '.join(INVARIANT_IDS)}", 0)
+        solver(inv)  # an unknown name fails before any input is read
     lines = _read_graph_lines(cfg)
     # a malformed line fails the command before its first record is written
     for line in lines:
@@ -524,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="exact invariant values with witnesses")
     _add_io_options(p_solve)
     p_solve.add_argument("--invariants",
-                         help=f"comma list from: {', '.join(INVARIANT_IDS)} "
+                         help=f"comma list from: {', '.join(INVARIANT_IDS)}, "
+                              "or gamma_<k> for k >= 1 "
                               "(default gamma,gamma_weak_roman,gamma_secure)")
     p_solve.set_defaults(fn=_cmd_solve)
 

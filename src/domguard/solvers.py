@@ -41,11 +41,9 @@ S adds only indices above max(A), which lies above min(σ(A) Δ A), so
 the least of its orbit, is never cut, so values and witnesses are those of
 the uncut search.  The automorphisms come from ``graph.automorphisms``,
 once per graph, packed one per lane of a big integer, so one test per
-child checks them all.  On the first two picks the cut also skips every
-pick that an element of the group they generate, fixing the picks so far,
-maps lower.  Smaller graphs skip the cut: their searches are too small to
-pay for the automorphism search.  The γ-set list and tau need every
-minimum set and never take the cut.
+child checks them all.  Smaller graphs skip the cut: their searches are
+too small to pay for the automorphism search.  The γ-set list and tau need
+every minimum set and never take the cut.
 
 Coloring (``chromatic_number``, and ``clique_cover`` as the coloring of the
 complement) is a DSATUR branch and bound (``_dsatur``): its best leaf is
@@ -165,41 +163,10 @@ def _check(limits: Optional[SolverLimits], invariant: str, n: int, limit_name: s
 # Graphs below this order skip the symmetry cut: their searches are too
 # small for the cut to pay for the automorphism search.  On the 996
 # connected graphs of order up to 7, the cut takes the four first-hit
-# searches from 59,274 to 51,770 nodes, but their CPU time rises by about
-# two thirds, from 0.14 s to 0.23 s on a shared 2-vCPU host.
+# searches from 59,274 to 51,773 nodes, but their CPU time rises by about
+# a third, from a median of 0.15 s to 0.20 s over nine runs on a shared
+# 2-vCPU host.
 ORBIT_CUT_MIN_N = 16
-
-
-def _orbit_minima(n: int, elements: Sequence[tuple[int, ...]]) -> int:
-    """The vertices that are the least of their orbit under the group that
-    ``elements`` generate."""
-    minima = seen = 0
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        minima |= 1 << v
-        seen |= 1 << v
-        todo = [v]
-        while todo:
-            x = todo.pop()
-            for sigma in elements:
-                y = sigma[x]
-                if not seen >> y & 1:
-                    seen |= 1 << y
-                    todo.append(y)
-    return minima
-
-
-def _orbit_masks(n: int, group: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-    """The two-level orbit tables, ``(first, second)``, of the group that
-    ``group`` generates.  ``first`` holds the vertices that are the least of
-    their orbit; for p in ``first``, ``second[p]`` holds those that are the
-    least of their orbit under the elements fixing p (0 for other p)."""
-    first = _orbit_minima(n, group)
-    second = [0] * n
-    for p in iter_bits(first):
-        second[p] = _orbit_minima(n, [sigma for sigma in group if sigma[p] == p])
-    return first, tuple(second)
 
 
 def _lanes(n: int, group: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
@@ -232,18 +199,16 @@ class _SearchTables:
     wholly below ``i``: once the search has passed ``i`` their guards are
     final.  ``ball2[u]`` holds the vertices within distance two of ``u``.
 
-    The symmetry cut's tables come from one ``automorphisms(g)`` call, on
-    graphs of order at least ``ORBIT_CUT_MIN_N``.  ``orbits`` is
-    ``_orbit_masks`` of the listed elements: orbits of the group they
-    generate, which can be larger than the list.  It is None when the list
-    holds only the identity, or on smaller graphs.  ``lanes`` is ``_lanes``
-    of them: the listed non-identity elements packed one per lane of n + 1
-    bits, so that one big-int addition and test per child compares σ(A)
-    with A for all of them at once.  With no such element it has no lane,
-    and its test passes every set.
+    ``lanes``, the symmetry cut's table, is ``_lanes`` of one
+    ``automorphisms(g)`` call, on graphs of order at least
+    ``ORBIT_CUT_MIN_N``: the listed non-identity elements packed one per
+    lane of n + 1 bits, so that one big-int addition and test per child
+    compares σ(A) with A for all of them at once.  On smaller graphs, or
+    when the list holds only the identity, it has no lane, and its test
+    passes every set.
     """
 
-    __slots__ = ("g", "maxcov", "suffix", "ball2", "orbits", "lanes")
+    __slots__ = ("g", "maxcov", "suffix", "ball2", "lanes")
 
     def __init__(self, g: Graph):
         n, closed = g.n, g.closed
@@ -256,9 +221,7 @@ class _SearchTables:
         for u in range(n):
             for x in iter_bits(closed[u]):
                 ball2[u] |= closed[x]
-        group = automorphisms(g) if n >= ORBIT_CUT_MIN_N else ()
-        self.orbits = _orbit_masks(n, group) if len(group) > 1 else None
-        self.lanes = _lanes(n, group)
+        self.lanes = _lanes(n, automorphisms(g) if n >= ORBIT_CUT_MIN_N else ())
 
 
 @lru_cache(maxsize=8)
@@ -323,33 +286,29 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
     and the sets it keeps stay in order, so a solver's first hit is
     unchanged.
 
-    ``symmetry`` turns on the symmetry cut, with the tables ``t.orbits`` and
-    ``t.lanes``; without it the search takes lane tables with no lane, whose
-    test passes every set.  At every depth a child with member set A is cut
-    when some listed automorphism σ has σ(A) <lex A, that is min(σ(A) Δ A) ∈
-    σ(A), since the sets have one size; the free fill tests each set it
-    yields the same way.  Each node carries its lane values from
-    ``t.lanes``: in σ's lane, 2^n + w(A) - w(σ(A)), where w(v) = 2^(n-1-v).
-    A child adds ``step[j]``, and a lane's guard bit clears exactly when
-    w(σ(A)) > w(A), that is when x = min(σ(A) Δ A) lies in σ(A): one big-int
-    addition and one test per child, whatever the number of lanes.  Then x
-    lies below max(A), since |σ(A)| = |A| and x ∈ σ(A) \\ A.  So a completion
-    S, which adds only indices above max(A), has S ∩ [0, x) = A ∩ [0, x), a
-    subset of σ(S), and x ∈ σ(S) \\ S: σ(S) <lex S.  The root's children also
-    skip every ``j`` outside ``first`` of ``t.orbits`` and the children of a
-    node whose one pick is p every ``j`` outside ``second[p]``: orbits of
-    the generated group, which the listed elements alone may not reach.  A
-    skipped ``j`` has an automorphism σ that fixes the picks so far and maps
-    ``j`` lower, so again σ(S) <lex S.  Domination, k-domination and the
+    ``symmetry`` turns on the symmetry cut, with the table ``t.lanes``;
+    without it the search takes lane tables with no lane, whose test passes
+    every set.  At every depth a child with member set A is cut when some
+    listed automorphism σ has σ(A) <lex A, that is min(σ(A) Δ A) ∈ σ(A),
+    since the sets have one size; the free fill tests each set it yields the
+    same way.  Each node carries its lane values from ``t.lanes``: in σ's
+    lane, 2^n + w(A) - w(σ(A)), where w(v) = 2^(n-1-v).  A child adds
+    ``step[j]``, and a lane's guard bit clears exactly when w(σ(A)) > w(A),
+    that is when x = min(σ(A) Δ A) lies in σ(A): one big-int addition and
+    one test per child, whatever the number of lanes.  Then x lies below
+    max(A), since |σ(A)| = |A| and x ∈ σ(A) \\ A.  So a completion S, which
+    adds only indices above max(A), has S ∩ [0, x) = A ∩ [0, x), a subset of
+    σ(S), and x ∈ σ(S) \\ S: σ(S) <lex S.  Domination, k-domination and the
     secure and weak Roman conditions are invariant under σ, so the lex-least
     set of a size that passes a solver's test, the least of its orbit, is
     never cut, and the sets kept stay in order: a solver's first hit is
-    unchanged.  A search that must yield every set, such as the γ-set list,
-    does not turn it on.
+    unchanged.  This holds for any list of automorphisms, so the cap of
+    ``graph.automorphisms`` on a large group only leaves some cuts untaken.
+    A search that must yield every set, such as the γ-set list, does not
+    turn it on.
     """
     n, full, closed, adj = t.g.n, t.g.full_mask, t.g.closed, t.g.adj
     maxcov, suffix, ball2 = t.maxcov, t.suffix, t.ball2
-    orbits = t.orbits if symmetry else None
     step, guard = t.lanes if symmetry else _lanes(n, ())
     for size in sizes:
         k = None if allowance is None else allowance(size)
@@ -447,9 +406,6 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
                     while end <= n - r and not unc & ~suffix[end]:
                         end += 1
                 kids = (1 << end) - (1 << i)
-            if orbits is not None and size - r < 2:
-                # The root's or a depth-1 node's children: the orbit cut.
-                kids &= orbits[0] if r == size else orbits[1][i - 1]
             while kids:
                 j = kids.bit_length() - 1
                 kids ^= 1 << j
@@ -463,7 +419,7 @@ def _lex_dominating_masks(t: _SearchTables, sizes: range, counter: list[int],
 
 def _gamma_mask(t: _SearchTables, counter: list[int]) -> int:
     """The lex-least minimum dominating set of ``t.g``: the first set of the
-    lex-ordered search, with the orbit cut."""
+    lex-ordered search, with the symmetry cut."""
     return next(_lex_dominating_masks(t, range(t.g.n + 1), counter, symmetry=True))
 
 
@@ -906,11 +862,16 @@ def tau(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
 # Dispatch table used by the CLI and the audit layer.
 # ---------------------------------------------------------------------------
 
-def solve(g: Graph, invariant: str, limits: Optional[SolverLimits] = None) -> SolveResult:
+def solver(invariant: str) -> Callable[[Graph, Optional[SolverLimits]], SolveResult]:
+    """The solver of an invariant name: an entry of ``INVARIANT_IDS``, or
+    ``gamma_<k>`` for the k-domination number, with k >= 1 written in ASCII
+    digits and no leading zero.  Any other name raises ValueError."""
     if invariant == "gamma":
-        return gamma(g, limits)
-    if invariant.startswith("gamma_") and invariant[6:].isdigit():
-        return gamma_k(g, int(invariant[6:]), limits)
+        return gamma
+    digits = invariant[6:] if invariant.startswith("gamma_") else ""
+    if digits[:1] not in ("", "0") and all("0" <= c <= "9" for c in digits):
+        k = int(digits)
+        return lambda g, limits=None: gamma_k(g, k, limits)
     table = {
         "gamma_roman": gamma_roman,
         "gamma_weak_roman": gamma_weak_roman,
@@ -922,8 +883,14 @@ def solve(g: Graph, invariant: str, limits: Optional[SolverLimits] = None) -> So
         "tau": tau,
     }
     if invariant not in table:
-        raise ValueError(f"unknown invariant {invariant!r}")
-    return table[invariant](g, limits)
+        raise ValueError(f"unknown invariant {invariant!r}; known: {', '.join(INVARIANT_IDS)}, "
+                         "or gamma_<k> for k >= 1")
+    return table[invariant]
+
+
+def solve(g: Graph, invariant: str, limits: Optional[SolverLimits] = None) -> SolveResult:
+    """Solve the invariant that ``solver`` names on g."""
+    return solver(invariant)(g, limits)
 
 
 INVARIANT_IDS = ("gamma", "gamma_2", "gamma_roman", "gamma_weak_roman", "gamma_secure",

@@ -68,6 +68,10 @@ class TestFamilySpecGrammar:
             parse_family_spec("path:4garbage")
         with pytest.raises(SpecError):
             parse_family_spec("cycle:2")  # family validation surfaces as SpecError
+        for spec in ("path:\u00b2", "path:\u0663"):  # a superscript and an Arabic-Indic digit
+            with pytest.raises(SpecError) as exc:
+                parse_family_spec(spec)
+            assert exc.value.position == 5
 
 
 def test_random_tree_helper():
@@ -92,6 +96,9 @@ class TestGen:
     def test_bad_grammar_is_usage_error(self):
         code, _, err = run(["gen", "wat:3"])
         assert code == EXIT_USAGE and "wat" in err
+        for spec in ("path:\u00b2", "path:\u0663"):
+            code, out, err = run(["gen", spec])
+            assert code == EXIT_USAGE and out == "" and "expected an integer" in err
 
     def test_seeded_determinism(self):
         _, a, _ = run(["gen", "randomtree:15", "--seed", "3"])
@@ -192,6 +199,12 @@ class TestSolve:
     def test_unknown_invariant_is_usage_error(self):
         code, _, _ = run(["solve", "--family", "path:3", "--invariants", "zeta"])
         assert code == EXIT_USAGE
+        # Names are checked before any input is read: a malformed line on
+        # stdin would be an I/O error.
+        for name in ("gamma_0", "gamma_01", "gamma_\u00b2", "gamma_", "gamma_+2"):
+            code, out, err = run(["solve", "--invariants", f"gamma,{name}"], "@@\n")
+            assert code == EXIT_USAGE and out == "", name
+            assert err.startswith(f"error: unknown invariant {name!r}"), name
 
     def test_two_sources_rejected(self):
         code, _, _ = run(["solve", "--family", "path:3", "--input", "nope.g6"])

@@ -6,13 +6,13 @@ import pytest
 from domguard import oracles
 from domguard import solvers as solvers_mod
 from domguard.graph import (Graph, automorphisms, bandwidth_order, cartesian_product, complement,
-                            complete, corona, cycle, empty, hypercube, iter_bits, join,
+                            complete, corona, cycle, empty, hamming, hypercube, iter_bits, join,
                             min_degree, leaf_count, path, relabel, remove_edge, star)
 from domguard.graph6 import parse_graph6
 from domguard.protection import (GuardFunction, is_df, is_k_dominating, is_rdf,
                                  is_secure_dominating, is_wrdf, kdom_mask, unsafe_zeros)
 from domguard.solvers import (LimitExceeded, SolverLimits, _clique_bound, _dsatur,
-                              _lanes, _lex_dominating_masks, _k_reach, _SearchTables,
+                              _lex_dominating_masks, _k_reach, _SearchTables,
                               chromatic_number, clique_cover, enumerate_gamma_sets, gamma,
                               gamma_k, gamma_roman, gamma_secure, gamma_weak_roman,
                               matching_number, solve, tau, two_packing)
@@ -422,8 +422,11 @@ class TestLimits:
         assert solve(path(4), "gamma").value == 2
         assert solve(path(4), "gamma_2").value == 3
         assert solve(path(4), "gamma_secure").value == 2
-        with pytest.raises(ValueError):
-            solve(path(4), "nonsense")
+        assert solve(path(4), "gamma_1").invariant_id == "gamma_1"
+        assert solve(path(4), "gamma_10").invariant_id == "gamma_10"
+        for name in ("nonsense", "gamma_0", "gamma_02", "gamma_\u00b2", "gamma_"):
+            with pytest.raises(ValueError):
+                solve(path(4), name)
 
 
 def test_nodes_explored_pinned(fig1_tree, spider9):
@@ -527,7 +530,7 @@ def _symmetric_tables(graphs, monkeypatch):
     identity."""
     monkeypatch.setattr(solvers_mod, "ORBIT_CUT_MIN_N", 0)
     tables = [_SearchTables(g) for g in graphs]
-    return [t for t in tables if t.orbits is not None]
+    return [t for t in tables if t.lanes[1]]
 
 
 def _least_image(group, mask):
@@ -539,12 +542,11 @@ def _least_image(group, mask):
 
 @pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
 def test_orbit_cut_is_sound(corpus, request, monkeypatch):
-    """The symmetry cut of the dominating-set search, the two-level orbit
-    tables and the lex-leader lane test at every depth, on every graph of
-    the corpus with a non-trivial automorphism list and every set size: the
-    cut search yields an order-preserving subsequence of the uncut one that
-    keeps the lex-least set of every orbit under the whole automorphism
-    group.  The two-level tables alone drop 1,779 and 16,349 sets."""
+    """The symmetry cut of the dominating-set search, the lex-leader lane
+    test at every depth, on every graph of the corpus with a non-trivial
+    automorphism list and every set size: the cut search yields an
+    order-preserving subsequence of the uncut one that keeps the lex-least
+    set of every orbit under the whole automorphism group."""
     dropped = 0
     for t in _symmetric_tables(request.getfixturevalue(corpus), monkeypatch):
         group = automorphisms(t.g, limit=5040)
@@ -585,22 +587,24 @@ def test_lane_test_is_lex_comparison(corpus, request, monkeypatch):
 
 
 def test_lane_test_only_cuts():
-    """With the lane field of the tables cleared by hand to the lane tables
-    of no element, the same search, left with the two-level orbit tables,
-    pops at least as many nodes and returns the same first hit: the first
-    dominating set, and the first secure one."""
+    """The search with the symmetry cut against the same search without it
+    pops at most as many nodes and returns the same first hit: the first
+    dominating set, and the first secure one.  K4□K4 and K8,8 have more
+    automorphisms than ``graph.automorphisms`` lists by default, so their
+    lanes hold only part of the group."""
     fewer = 0
     for g in (cartesian_product(cycle(10), complete(2)), cartesian_product(path(4), path(4)),
-              cartesian_product(cycle(8), complete(2)), hypercube(4)):
+              cartesian_product(cycle(8), complete(2)), hypercube(4), hamming(2, 4),
+              join(empty(8), empty(8))):
         t = _SearchTables(g)
         assert t.lanes[1], g
         runs = []
-        for lanes in (t.lanes, _lanes(g.n, ())):
-            t.lanes = lanes
+        for symmetry in (True, False):
             counters = [0], [0]
-            first = next(_lex_dominating_masks(t, range(g.n + 1), counters[0], symmetry=True))
+            first = next(_lex_dominating_masks(t, range(g.n + 1), counters[0],
+                                               symmetry=symmetry))
             secure = next(m for m in _lex_dominating_masks(t, range(g.n + 1), counters[1],
-                                                           lambda size: 0, symmetry=True)
+                                                           lambda size: 0, symmetry=symmetry)
                           if next(unsafe_zeros(g, m), None) is None)
             runs.append((first, secure, counters[0][0], counters[1][0]))
         (first, secure, *nodes), (first_off, secure_off, *nodes_off) = runs
@@ -612,7 +616,7 @@ def test_lane_test_only_cuts():
 
 @pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
 def test_orbit_cut_keeps_answers(corpus, request, monkeypatch):
-    """With the order gate removed, every solver that takes the orbit cut
+    """With the order gate removed, every solver that takes the symmetry cut
     returns the value and witness of the uncut search, and the γ-set list
     and tau, whose γ-set passes never cut, are unchanged."""
     solvers = (gamma, lambda g: gamma_k(g, 2), gamma_weak_roman, gamma_secure, tau)
