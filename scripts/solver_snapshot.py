@@ -11,6 +11,10 @@ snapshots of different trees then compare line by line:
     PYTHONPATH=/path/to/other/src python3 scripts/solver_snapshot.py > before.jsonl
     python3 scripts/snapshot_diff.py before.jsonl after.jsonl
 
+Both snapshots of a diff must come from one copy of this script, as above:
+the graph sets change between versions of it, and lines that one copy
+writes and the other does not would show up as differences.
+
 Each graph then gets one line, marked ``"via": "InvariantCache"``, for
 each of ``gamma_weak_roman`` and ``gamma_secure`` as ``bounds.InvariantCache``
 computes them in the graph's own labels, and one line marked
@@ -31,10 +35,15 @@ sets above barely reach: ``gamma_secure`` of the prism conjecture scan's
 graphs, C_t x K2 for t = 3..14 and P_t x K2 for t = 2..14 (set
 ``conjecture``), then the set ``frontier``: ``gamma_weak_roman`` and
 ``gamma_secure`` of C16xK2 and of the hypercube Q5 under raised order caps,
-and ``gamma``, ``gamma_2``, ``gamma_weak_roman`` and ``gamma_secure`` of
-K4xK4.  Q5 (3,840 automorphisms) and K4xK4 (1,152) have more automorphisms
-than ``graph.automorphisms`` lists by default (4n), so the symmetry cut
-there uses only part of the group, and the diff covers that case too.
+``gamma``, ``gamma_2``, ``gamma_weak_roman`` and ``gamma_secure`` of K4xK4,
+and ``gamma``, ``gamma_weak_roman`` and ``gamma_secure`` of the complement
+of C12xK2 in its own bandwidth order.  Q5 (3,840 automorphisms) and K4xK4
+(1,152) have more automorphisms than ``graph.automorphisms`` lists by
+default (4n), so the symmetry cut there uses only part of the group, and
+the diff covers that case too.  The complement of C12xK2 holds more than
+half of the possible edges and has 48 automorphisms (at most 4n), so the
+diff covers the search tables' dense side, where the group is searched on
+the complement.
 """
 
 import json
@@ -47,8 +56,8 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so another tree's src ca
 
 from bench.workloads import DEFAULT_SEED, random_audit_lines  # noqa: E402
 from domguard.bounds import InvariantCache, audit  # noqa: E402
-from domguard.graph import (cartesian_product, complement, complete, cycle, hamming,  # noqa: E402
-                            hypercube, path)
+from domguard.graph import (bandwidth_order, cartesian_product, complement,  # noqa: E402
+                            complete, cycle, hamming, hypercube, path, relabel)
 from domguard.graph6 import parse_graph6, write_graph6  # noqa: E402
 from domguard.solvers import INVARIANT_IDS, LimitExceeded, SolverLimits, solve  # noqa: E402
 
@@ -87,6 +96,10 @@ def symmetric_solves():
         yield "frontier", g, "gamma_secure", SolverLimits(secure_max_n=32)
     for inv in ("gamma", "gamma_2", "gamma_weak_roman", "gamma_secure"):
         yield "frontier", hamming(2, 4), inv, None
+    dense = complement(cartesian_product(cycle(12), complete(2)))
+    dense = relabel(dense, bandwidth_order(dense))
+    for inv in ("gamma", "gamma_weak_roman", "gamma_secure"):
+        yield "frontier", dense, inv, None
 
 
 def emit(line: dict, compute) -> None:

@@ -36,7 +36,6 @@ class ConstructionError(RuntimeError):
 @dataclass(frozen=True)
 class PeelLevel:
     """One stage of the peel: the surviving subtree and what gets stripped."""
-    tree: Graph                      # same vertex ids, edges among alive vertices only
     alive: VertexSet                 # vertices of this subtree
     supports: VertexSet              # light supports stripped at this level
     removed: VertexSet               # supports plus their leaves
@@ -45,7 +44,6 @@ class PeelLevel:
 
 @dataclass(frozen=True)
 class PeelDecomposition:
-    source: Graph
     levels: tuple[PeelLevel, ...]
     remainder: VertexSet             # at most two vertices
     rho: int                         # 1 when the remainder is nonempty, else 0
@@ -138,13 +136,11 @@ def peel(tree: Graph) -> PeelDecomposition:
                 removed |= lv | (1 << v)
         if not supports:
             raise ConstructionError("peel found no qualifying support in a subtree of order >= 3")
-        level_tree = Graph(n, ((u, v) for u, v in tree.edges()
-                               if alive >> u & 1 and alive >> v & 1))
-        levels.append(PeelLevel(level_tree, VertexSet(alive, n), VertexSet(supports, n),
+        levels.append(PeelLevel(VertexSet(alive, n), VertexSet(supports, n),
                                 VertexSet(removed, n), leaf_map))
         alive &= ~removed
     remainder = VertexSet(alive, n)
-    return PeelDecomposition(tree, tuple(levels), remainder, 1 if alive else 0)
+    return PeelDecomposition(tuple(levels), remainder, 1 if alive else 0)
 
 
 def _spanning_tree_for(g: Graph, tree: Optional[Graph]) -> Graph:

@@ -3,6 +3,8 @@
 Vertices are always 0..n-1 and every vertex subset fits in a single machine
 word (hard cap of VERTEX_CAP vertices), so neighborhoods, covers and search
 states are plain Python ints manipulated with &, |, ~ and bit_count().
+A vertex has no name but its index: each family and operator documents how
+it numbers the vertices it builds.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with one adjacency bitmask per vertex.
 
-    Instances are immutable after construction and safe to share between
-    threads or processes.  ``labels`` is optional provenance metadata attached
-    by graph operators (product, corona); it never participates in equality.
+    A graph is its adjacency: two graphs are equal exactly when their
+    adjacency rows are.  Instances are immutable after construction and safe
+    to share between threads or processes.
     """
 
-    __slots__ = ("n", "adj", "closed", "labels")
+    __slots__ = ("n", "adj", "closed")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
         if n > VERTEX_CAP:
@@ -51,29 +52,26 @@ class Graph:
                 raise GraphError(f"loop at vertex {u} not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        if labels is not None and len(labels) != n:
-            raise GraphError("labels length must equal vertex count")
-        self._fill(rows, labels)
+        self._fill(rows)
 
     @classmethod
-    def _from_rows(cls, rows: Sequence[int], labels: Optional[Sequence[str]] = None) -> "Graph":
+    def _from_rows(cls, rows: Sequence[int]) -> "Graph":
         """A graph on adjacency rows that are already symmetric and loop-free."""
         g = object.__new__(cls)
-        g._fill(rows, labels)
+        g._fill(rows)
         return g
 
-    def _fill(self, rows: Sequence[int], labels: Optional[Sequence[str]]) -> None:
+    def _fill(self, rows: Sequence[int]) -> None:
         # Set the slots directly: the immutability guard in __setattr__
         # would make each assignment several times slower.
         fill = object.__setattr__
         fill(self, "n", len(rows))
         fill(self, "adj", tuple(rows))
         fill(self, "closed", tuple([r | 1 << v for v, r in enumerate(rows)]))
-        fill(self, "labels", None if labels is None else tuple(labels))
 
-    # Mutation is blocked after __init__ populates the slots.
+    # Mutation is blocked once _fill has set "closed", its last slot.
     def __setattr__(self, name, value):
-        if hasattr(self, "labels"):
+        if hasattr(self, "closed"):
             raise AttributeError("Graph is immutable")
         object.__setattr__(self, name, value)
 
@@ -99,9 +97,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -299,8 +294,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for (x, x2) in g.edges():
         for y in range(h.n):
             edges.append((x * h.n + y, x2 * h.n + y))
-    labels = tuple(f"({g.label(x)},{h.label(y)})" for x in range(g.n) for y in range(h.n))
-    return Graph(n, edges, labels)
+    return Graph(n, edges)
 
 
 def corona(g: Graph, t: int) -> Graph:
@@ -318,9 +312,7 @@ def corona(g: Graph, t: int) -> Graph:
     for v in range(g.n):
         for j in range(t):
             edges.append((v, g.n + v * t + j))
-    labels = tuple(g.label(v) for v in range(g.n)) + tuple(
-        f"{g.label(v)}*{j}" for v in range(g.n) for j in range(t))
-    return Graph(n, edges, labels)
+    return Graph(n, edges)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -336,15 +328,14 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph._from_rows([full & ~r & ~(1 << v) for v, r in enumerate(g.adj)], g.labels)
+    return Graph._from_rows([full & ~r & ~(1 << v) for v, r in enumerate(g.adj)])
 
 
 def relabel(g: Graph, order: Sequence[int]) -> Graph:
     """The graph with vertex i standing for vertex ``order[i]`` of g.
 
-    ``order`` must be a permutation of 0..n-1; labels, when present, travel
-    with their vertices.  Relabelling the result by the inverse permutation
-    gives back g.
+    ``order`` must be a permutation of 0..n-1.  Relabelling the result by
+    the inverse permutation gives back g.
     """
     n, adj = g.n, g.adj
     if sorted(order) != list(range(n)):
@@ -360,7 +351,7 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
             row |= bit[low.bit_length() - 1]
             m ^= low
         rows.append(row)
-    return Graph._from_rows(rows, None if g.labels is None else [g.labels[v] for v in order])
+    return Graph._from_rows(rows)
 
 
 def bandwidth_order(g: Graph) -> list[int]:
@@ -513,7 +504,7 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not present")
     edges = [(a, b) for a, b in g.edges() if {a, b} != {u, v}]
-    return Graph(g.n, edges, g.labels)
+    return Graph(g.n, edges)
 
 
 def spanning_tree(g: Graph, root: int = 0) -> Graph:
@@ -531,7 +522,7 @@ def spanning_tree(g: Graph, root: int = 0) -> Graph:
             seen |= 1 << v
             edges.append((u, v))
             queue.append(v)
-    return Graph(g.n, edges, g.labels)
+    return Graph(g.n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graph import Graph, VertexSet, automorphisms, complement, iter_bits
+from .graph import (HAMILTONIAN_SEARCH_CAP, Graph, VertexSet, automorphisms, complement,
+                    iter_bits)
 from .protection import GuardFunction, kdom_mask, unsafe_zeros
 
 
@@ -110,7 +111,7 @@ class SolverLimits:
     two_packing_max_n: int = 26
     chromatic_max_n: int = 24
     gamma_sets_max_n: int = 24
-    hamiltonian_max_n: int = 24
+    hamiltonian_max_n: int = HAMILTONIAN_SEARCH_CAP
 
     def scaled(self, cap: int) -> "SolverLimits":
         """Clamp every limit to ``cap`` (used by the CLI --limit-n flag)."""
@@ -200,12 +201,15 @@ class _SearchTables:
     final.  ``ball2[u]`` holds the vertices within distance two of ``u``.
 
     ``lanes``, the symmetry cut's table, is ``_lanes`` of one
-    ``automorphisms(g)`` call, on graphs of order at least
+    ``automorphisms`` call, on graphs of order at least
     ``ORBIT_CUT_MIN_N``: the listed non-identity elements packed one per
     lane of n + 1 bits, so that one big-int addition and test per child
     compares σ(A) with A for all of them at once.  On smaller graphs, or
     when the list holds only the identity, it has no lane, and its test
-    passes every set.
+    passes every set.  The group is searched on the sparser of g and its
+    complement, which has the same automorphisms in the same labels: on a
+    dense graph such as the complement of a cycle prism the search in g
+    takes seconds, and in the complement milliseconds.
     """
 
     __slots__ = ("g", "maxcov", "suffix", "ball2", "lanes")
@@ -221,7 +225,10 @@ class _SearchTables:
         for u in range(n):
             for x in iter_bits(closed[u]):
                 ball2[u] |= closed[x]
-        self.lanes = _lanes(n, automorphisms(g) if n >= ORBIT_CUT_MIN_N else ())
+        group = ()
+        if n >= ORBIT_CUT_MIN_N:
+            group = automorphisms(complement(g) if 4 * g.edge_count > n * (n - 1) else g)
+        self.lanes = _lanes(n, group)
 
 
 @lru_cache(maxsize=8)

@@ -614,6 +614,14 @@ def test_lane_test_only_cuts():
     assert fewer > 0
 
 
+def test_dense_graph_takes_the_lanes_of_its_complement():
+    """A graph and its complement have the same automorphisms, and the
+    tables search them on the sparser side, so both get the same lanes."""
+    for g in (cartesian_product(cycle(10), complete(2)), cartesian_product(cycle(8), cycle(3)),
+              hypercube(4)):
+        assert _SearchTables(complement(g)).lanes == _SearchTables(g).lanes, g
+
+
 @pytest.mark.parametrize("corpus", ["corpus_all_n6", "corpus_connected_n7"])
 def test_orbit_cut_keeps_answers(corpus, request, monkeypatch):
     """With the order gate removed, every solver that takes the symmetry cut
