@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
-from .graph import (Graph, bandwidth_order, component_is_complete, complement,
-                    has_hamiltonian_cycle, is_connected, is_cycle_graph, iter_bits, leaf_count,
-                    max_degree, min_degree, relabel)
+from .graph import (HAMILTONIAN_SEARCH_CAP, Graph, bandwidth_order, component_is_complete,
+                    complement, has_hamiltonian_cycle, is_connected, is_cycle_graph, iter_bits,
+                    leaf_count, max_degree, min_degree, relabel)
 from .graph6 import write_graph6
 from .solvers import (DEFAULT_LIMITS, LimitExceeded, SolveResult, SolverLimits, gamma_secure,
                       solve)
@@ -49,10 +49,14 @@ class InvariantCache:
 
     def result(self, key: str) -> SolveResult:
         if key not in self._results:
-            if key == "gamma_secure" and self.n <= min(self.limits.secure_max_n,
-                                                         self.limits.weak_roman_max_n):
-                # γ_s ≥ γ_wr: the secure search starts from the weak Roman result.
-                res = gamma_secure(self.graph, self.limits, self.result("gamma_weak_roman"))
+            if key == "gamma_secure":
+                # γ_s ≥ γ_wr: the secure search starts from the weak Roman
+                # result, or from size 0 when that is over its cap.
+                try:
+                    weak_roman = self.result("gamma_weak_roman")
+                except LimitExceeded:
+                    weak_roman = None
+                res = gamma_secure(self.graph, self.limits, weak_roman)
             else:
                 res = solve(self.graph, key, self.limits)
             self._results[key] = res
@@ -248,9 +252,8 @@ def _make_registry() -> tuple[BoundSpec, ...]:
     def _hamiltonian_applies(c):
         _need(c.n >= 4, "order below 4")
         # never guessed: above the search cap the bound is simply not audited
-        cap = c.limits.hamiltonian_max_n
-        _need(c.n <= cap, "hamiltonicity undecided above the search cap")
-        _need(has_hamiltonian_cycle(c.graph, cap), "graph is not Hamiltonian")
+        _need(c.n <= HAMILTONIAN_SEARCH_CAP, "hamiltonicity undecided above the search cap")
+        _need(has_hamiltonian_cycle(c.graph), "graph is not Hamiltonian")
         return -(-3 * c.n // 7)
     add("hamiltonian_secure_three_sevenths", "upper", "gamma_secure",
         "secure domination of a Hamiltonian graph is at most ceil(3n/7)",

@@ -29,18 +29,15 @@ import random
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
 from . import bounds as bounds_mod
 from . import constructions as cons
-from .graph import (Graph, GraphError, VertexSet, cartesian_product, complement,
+from .graph import (_FAMILIES, Graph, GraphError, VertexSet, cartesian_product, complement,
                     corona, generate, join)
 from .graph6 import EdgeListError, Graph6Error, parse_graph6, write_graph6
-from .protection import (GuardFunction, ProtectionError, defense_moves,
-                         first_failing_vertex, is_df, is_k_dominating, is_rdf,
-                         is_secure_dominating, is_wrdf)
+from .protection import GuardFunction, ProtectionError, defense_moves, first_failing_vertex
 from .solvers import (DEFAULT_LIMITS, INVARIANT_IDS, LimitExceeded, SolverLimits, solve,
                       solver)
 
@@ -144,16 +141,13 @@ def _parse_spec(text: str, pos: int, rng: random.Random) -> tuple[Graph, int]:
             pos = _expect(text, pos, ":")
             n, pos = _parse_int(text, pos)
             return random_tree(n, rng), pos
-        if name == "hamming":
-            pos = _expect(text, pos, ":")
-            k, pos = _parse_int(text, pos)
-            pos = _expect(text, pos, ":")
-            t, pos = _parse_int(text, pos)
-            return generate("hamming", k, t), pos
-        if name in ("path", "cycle", "complete", "star", "empty", "hypercube"):
-            pos = _expect(text, pos, ":")
-            t, pos = _parse_int(text, pos)
-            return generate(name, t), pos
+        if name in _FAMILIES:
+            params = []
+            for _ in range(_FAMILIES[name][1]):
+                pos = _expect(text, pos, ":")
+                t, pos = _parse_int(text, pos)
+                params.append(t)
+            return generate(name, *params), pos
     except (GraphError, Graph6Error) as exc:
         raise SpecError(str(exc), start) from exc
     raise SpecError(f"unknown family or operator {name!r}", start)
@@ -171,48 +165,30 @@ def parse_family_spec(text: str, seed: int = 0) -> Graph:
 # Input plumbing.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CliConfig:
-    family: Optional[str]
-    input_path: Optional[str]
-    fmt: str
-    limit_n: Optional[int]
-    workers: int
-    seed: int
-
-    def limits(self) -> SolverLimits:
-        if self.limit_n is not None:
-            if self.limit_n < 1:
-                raise SpecError("--limit-n must be positive", 0)
-            return DEFAULT_LIMITS.scaled(self.limit_n)
+def _limits(args) -> SolverLimits:
+    """The solver limits of ``--limit-n``: every default clamped to it."""
+    if args.limit_n is None:
         return DEFAULT_LIMITS
+    if args.limit_n < 1:
+        raise SpecError("--limit-n must be positive", 0)
+    return DEFAULT_LIMITS.scaled(args.limit_n)
 
 
-def _config(args) -> CliConfig:
-    return CliConfig(getattr(args, "family", None), getattr(args, "input", None),
-                     getattr(args, "format", "text"), getattr(args, "limit_n", None),
-                     getattr(args, "workers", 1), getattr(args, "seed", 0))
-
-
-def _read_graph_lines(cfg: CliConfig) -> list[str]:
-    if cfg.family is not None and cfg.input_path is not None:
+def _read_graph_lines(args) -> list[str]:
+    if args.family is not None and args.input is not None:
         raise SpecError("choose one input source: --family or --input", 0)
-    if cfg.family is not None:
-        return [write_graph6(parse_family_spec(cfg.family, cfg.seed))]
-    if cfg.input_path is not None:
-        with open(cfg.input_path, "r", encoding="ascii") as fh:
+    if args.family is not None:
+        return [write_graph6(parse_family_spec(args.family, args.seed))]
+    if args.input is not None:
+        with open(args.input, "r", encoding="ascii") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _read_graphs(cfg: CliConfig) -> list[Graph]:
-    return [parse_graph6(line) for line in _read_graph_lines(cfg)]
-
-
-def _read_single_graph(cfg: CliConfig) -> Graph:
-    graphs = _read_graphs(cfg)
+def _read_single_graph(args) -> Graph:
+    graphs = [parse_graph6(line) for line in _read_graph_lines(args)]
     if len(graphs) != 1:
         raise SpecError(f"this command expects exactly one graph, got {len(graphs)}", 0)
     return graphs[0]
@@ -254,8 +230,7 @@ def _emit_each(records, fmt: str, render_text) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    cfg = _config(args)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     for spec in args.specs:
         g, pos = _parse_spec(spec, 0, rng)
         if pos != len(spec):
@@ -265,12 +240,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config(args)
-    limits = cfg.limits()
+    limits = _limits(args)
     wanted = args.invariants.split(",") if args.invariants else ["gamma", "gamma_weak_roman", "gamma_secure"]
     for inv in wanted:
         solver(inv)  # an unknown name fails before any input is read
-    lines = _read_graph_lines(cfg)
+    lines = _read_graph_lines(args)
     # a malformed line fails the command before its first record is written
     for line in lines:
         parse_graph6(line)
@@ -293,40 +267,28 @@ def _cmd_solve(args) -> int:
                 lines_out.append(f"  {res['invariant_id']}: skipped ({res['error']})")
             else:
                 w = res["witness"]
-                wtxt = w.get("text") or w.get("sets") or w.get("edges")
+                # an empty witness of any kind prints as None
+                wtxt = w.get("text") or w.get("sets") or w.get("edges") or None
                 lines_out.append(f"  {res['invariant_id']} = {res['value']}  "
                                  f"witness {wtxt}  nodes {res['nodes_explored']}")
         return "\n".join(lines_out) + "\n"
 
-    _emit_each(entries(), cfg.fmt, render)
+    _emit_each(entries(), args.format, render)
     return EXIT_OK
 
 
-_SET_CLASSES = ("df", "secure", "kdom")
-_FUNCTION_CLASSES = ("rdf", "wrdf")
-
-
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
-    g = _read_single_graph(cfg)
     kind = args.cls
-    if kind in _FUNCTION_CLASSES:
+    if kind == "kdom" and args.k < 1:
+        raise SpecError("--k must be positive", 0)
+    g = _read_single_graph(args)
+    if kind in ("rdf", "wrdf"):
         obj = GuardFunction.from_text(g, args.object)
-        ok = is_rdf(g, obj) if kind == "rdf" else is_wrdf(g, obj)
-    elif kind in _SET_CLASSES:
-        members = VertexSet.from_text(args.object, g.n)
-        if kind == "df":
-            ok = is_df(g, members)
-        elif kind == "secure":
-            ok = is_secure_dominating(g, members)
-        else:
-            ok = is_k_dominating(g, members, args.k)
-        obj = members
     else:
-        raise SpecError(f"unknown class {args.cls!r}", 0)
-    failing = None if ok else first_failing_vertex(g, kind, obj, args.k)
-    payload = {"class": kind, "object": args.object, "ok": ok, "failing_vertex": failing,
-               "moves": None}
+        obj = VertexSet.from_text(args.object, g.n)
+    failing = first_failing_vertex(g, kind, obj, args.k)
+    payload = {"class": kind, "object": args.object, "ok": failing is None,
+               "failing_vertex": failing, "moves": None}
     if kind in ("wrdf", "secure") and failing is not None:
         f = obj if kind == "wrdf" else GuardFunction.from_vertex_set(g, obj)
         if f.values[failing] == 0:
@@ -342,7 +304,7 @@ def _cmd_verify(args) -> int:
                 lines.append(f"  defender {m['defender']}: {'valid' if m['valid'] else 'leaves an undefended vertex'}")
         return "\n".join(lines) + "\n"
 
-    _emit(payload, cfg.fmt, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
@@ -351,13 +313,12 @@ _ALGORITHMS = ("two-thirds", "tree-secure", "complement-secure", "clique-cover",
 
 
 def _cmd_construct(args) -> int:
-    cfg = _config(args)
-    limits = cfg.limits()
-    g = _read_single_graph(cfg)
+    limits = _limits(args)
+    g = _read_single_graph(args)
     alg = args.algorithm
     second = None
     if args.second is not None:
-        second = parse_family_spec(args.second, cfg.seed)
+        second = parse_family_spec(args.second, args.seed)
     if alg == "two-thirds":
         cert = cons.tree_wrdf_two_thirds(g)
     elif alg == "tree-secure":
@@ -388,7 +349,7 @@ def _cmd_construct(args) -> int:
         return (f"{p['theorem_id']}: claimed <= {p['claimed_bound']}, achieved {p['achieved']}, "
                 f"valid={p['valid']}\nobject: {p['object']['text']}\n")
 
-    _emit(payload, cfg.fmt, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
@@ -412,11 +373,10 @@ def _audit_one_line(line: str, limits: SolverLimits, limit_n: Optional[int]) -> 
 
 
 def _cmd_audit(args) -> int:
-    cfg = _config(args)
-    if cfg.workers < 1:
+    if args.workers < 1:
         raise SpecError("--workers must be positive", 0)
-    audit_one = partial(_audit_one_line, limits=cfg.limits(), limit_n=cfg.limit_n)
-    lines = _read_graph_lines(cfg)
+    audit_one = partial(_audit_one_line, limits=_limits(args), limit_n=args.limit_n)
+    lines = _read_graph_lines(args)
     violation = failed = False
 
     def tally(reports):
@@ -442,27 +402,26 @@ def _cmd_audit(args) -> int:
 
     # A fork-based pool starts all its workers at the first submit, so never
     # ask for more workers than there are graphs.
-    workers = min(cfg.workers, len(lines))
+    workers = min(args.workers, len(lines))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                _emit_each(tally(pool.map(audit_one, lines)), cfg.fmt, render)
+                _emit_each(tally(pool.map(audit_one, lines)), args.format, render)
             except BaseException:
                 # leaving the pool waits for every queued graph unless they
                 # are cancelled first, as after a closed stdout
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        _emit_each(tally(map(audit_one, lines)), cfg.fmt, render)
+        _emit_each(tally(map(audit_one, lines)), args.format, render)
     if failed:
         return EXIT_IO
     return EXIT_BOUND_VIOLATION if violation else EXIT_OK
 
 
 def _cmd_ng(args) -> int:
-    cfg = _config(args)
-    g = _read_single_graph(cfg)
-    record = bounds_mod.nordhaus_gaddum(g, cfg.limits())
+    g = _read_single_graph(args)
+    record = bounds_mod.nordhaus_gaddum(g, _limits(args))
 
     def render(p) -> str:
         lines = [f"n={p['n']}  weak_roman={p['gamma_weak_roman']} secure={p['gamma_secure']}  "
@@ -475,17 +434,16 @@ def _cmd_ng(args) -> int:
         lines.append("all checks pass" if p["pass"] else "CHECK FAILED")
         return "\n".join(lines) + "\n"
 
-    _emit(record, cfg.fmt, render)
+    _emit(record, args.format, render)
     return EXIT_OK
 
 
 def _cmd_conjecture(args) -> int:
-    cfg = _config(args)
     family = {"path": "path_x_k2", "cycle": "cycle_x_k2"}[args.family]
     t_min = bounds_mod.CONJECTURE_T_MIN[family]
     if args.t_max < t_min:
         raise SpecError(f"--t-max must be at least {t_min} for --family {args.family}", 0)
-    rows = bounds_mod.conjecture_scan(family, args.t_max, cfg.limits())
+    rows = bounds_mod.conjecture_scan(family, args.t_max, _limits(args))
     payload = {"family": family, "rows": rows}
 
     def render(p) -> str:
@@ -494,7 +452,7 @@ def _cmd_conjecture(args) -> int:
             lines.append(f"{r['t']:>3} {r['exact']:>6} {r['conjectured']:>12} {r['match']}")
         return "\n".join(lines) + "\n"
 
-    _emit(payload, cfg.fmt, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
@@ -502,7 +460,7 @@ def _cmd_conjecture(args) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
-def _add_io_options(p: argparse.ArgumentParser, multi: bool = True) -> None:
+def _add_io_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="family spec (see grammar in the main help)")
     p.add_argument("--input", help="file of graph6 lines (default: stdin)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -532,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a guard function or vertex set")
     _add_io_options(p_verify)
     p_verify.add_argument("--class", dest="cls", required=True,
-                          choices=_SET_CLASSES + _FUNCTION_CLASSES)
+                          choices=("df", "secure", "kdom", "rdf", "wrdf"))
     p_verify.add_argument("--object", required=True,
                           help="guard digits '2,0,1' for rdf/wrdf, indices '0,2' for set classes")
     p_verify.add_argument("--k", type=int, default=2, help="k for the kdom class")

@@ -21,8 +21,8 @@ from .graph import (Graph, VertexSet, cartesian_product, component_is_complete,
                     is_connected, is_tree, iter_bits, spanning_tree)
 from .graph6 import write_graph6
 from .protection import GuardFunction, is_secure_dominating, is_wrdf
-from .solvers import (SolverLimits, DEFAULT_LIMITS, gamma, gamma_k, gamma_weak_roman,
-                      clique_cover, tau, twin_shadow_mask)
+from .solvers import (LimitExceeded, SolverLimits, clique_cover, gamma, gamma_k,
+                      gamma_weak_roman, tau, twin_shadow_mask)
 
 
 class InapplicableError(ValueError):
@@ -143,29 +143,19 @@ def peel(tree: Graph) -> PeelDecomposition:
     return PeelDecomposition(tuple(levels), remainder, 1 if alive else 0)
 
 
-def _spanning_tree_for(g: Graph, tree: Optional[Graph]) -> Graph:
-    if tree is None:
-        return spanning_tree(g, 0)
-    if tree.n != g.n or not is_tree(tree):
-        raise InapplicableError("supplied tree is not a spanning tree of the graph")
-    for u, v in tree.edges():
-        if not g.has_edge(u, v):
-            raise InapplicableError(f"supplied tree edge ({u},{v}) is not an edge of the graph")
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # Tree-based constructions.
 # ---------------------------------------------------------------------------
 
-def tree_wrdf_two_thirds(g: Graph, tree: Optional[Graph] = None) -> Certificate:
+def tree_wrdf_two_thirds(g: Graph) -> Certificate:
     """Weak Roman function of weight at most floor(2n/3) on a connected graph.
 
-    Peel a spanning tree; supports get two guards when they hold two or more
-    leaves, one guard with a single leaf, leaves stay empty.  A singleton
-    remainder takes no guard exactly when a tree neighbor holds two, else one
-    guard; for a remainder pair the zero/one split is decided by trying both
-    orders against the weak Roman check on the tree.
+    Peel the breadth-first spanning tree from vertex 0; supports get two
+    guards when they hold two or more leaves, one guard with a single leaf,
+    leaves stay empty.  A singleton remainder takes no guard exactly when a
+    tree neighbor holds two, else one guard; for a remainder pair the
+    zero/one split is decided by trying both orders against the weak Roman
+    check on the tree.
     """
     if g.n < 2:
         raise InapplicableError("needs a connected graph on at least two vertices")
@@ -174,7 +164,7 @@ def tree_wrdf_two_thirds(g: Graph, tree: Optional[Graph] = None) -> Certificate:
     claimed = (2 * g.n) // 3
     if g.n == 2:
         return _finish("two_thirds_tree", g, GuardFunction(g, (1, 0)), claimed)
-    t = _spanning_tree_for(g, tree)
+    t = spanning_tree(g)
     decomp = peel(t)
     values = [0] * g.n
     for level in decomp.levels:
@@ -200,13 +190,13 @@ def tree_wrdf_two_thirds(g: Graph, tree: Optional[Graph] = None) -> Certificate:
     return _finish("two_thirds_tree", g, GuardFunction(g, values), claimed)
 
 
-def tree_secure_set(g: Graph, tree: Optional[Graph] = None) -> Certificate:
+def tree_secure_set(g: Graph) -> Certificate:
     """Secure dominating set of size (total peel leaves) + (1 if remainder)."""
     if g.n < 3:
         raise InapplicableError("needs a connected graph on at least three vertices")
     if not is_connected(g):
         raise InapplicableError("input graph is disconnected")
-    t = _spanning_tree_for(g, tree)
+    t = spanning_tree(g)
     decomp = peel(t)
     w = 0
     for level in decomp.levels:
@@ -310,24 +300,25 @@ def product_wrdf_aaaa(g: Graph, h_function: GuardFunction,
     two-guard vertex: two guards on every fiber over the two-guard class, and
     an optimal G-function copied over the columns H leaves uncovered.
 
-    The supplied function must be weak Roman with a nonempty two-guard class;
-    its optimality is enforced when H fits the solver limit, otherwise the
-    certificate is returned with trusted_input=True.
+    The supplied function must be weak Roman with a nonempty two-guard class.
+    Its optimality is checked against ``gamma_weak_roman(h, limits)``; when
+    that solver raises LimitExceeded, H is over its cap, the optimality is
+    taken on trust and the certificate has trusted_input=True.
     """
-    limits = limits or DEFAULT_LIMITS
     h = h_function.graph
     if not is_wrdf(h, h_function):
         raise InapplicableError("input function is not weak Roman on its graph")
     if h_function.two_mask == 0:
         raise InapplicableError("inapplicable: the function has no two-guard vertex")
     trusted = False
-    if h.n <= limits.weak_roman_max_n:
+    try:
         optimum = gamma_weak_roman(h, limits).value
+    except LimitExceeded:
+        trusted = True
+    else:
         if h_function.weight() != optimum:
             raise InapplicableError(
                 f"function weight {h_function.weight()} is not optimal ({optimum})")
-    else:
-        trusted = True
     reach = 0
     for u in iter_bits(h_function.two_mask):
         reach |= h.closed[u]

@@ -507,14 +507,12 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, edges)
 
 
-def spanning_tree(g: Graph, root: int = 0) -> Graph:
-    """BFS spanning tree from ``root``, neighbors explored in ascending index order."""
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} out of range")
-    if not is_connected(g):
-        raise GraphError("spanning_tree requires a connected graph")
-    seen = 1 << root
-    queue = deque([root])
+def spanning_tree(g: Graph) -> Graph:
+    """BFS spanning tree from vertex 0, neighbors explored in ascending index order."""
+    if not g.n or not is_connected(g):
+        raise GraphError("spanning_tree requires a connected graph on at least one vertex")
+    seen = 1
+    queue = deque([0])
     edges = []
     while queue:
         u = queue.popleft()
@@ -581,11 +579,12 @@ def is_cycle_graph(g: Graph) -> bool:
     return g.n >= 3 and is_connected(g) and all(g.degree(v) == 2 for v in range(g.n))
 
 
-def has_hamiltonian_cycle(g: Graph, search_cap: int = HAMILTONIAN_SEARCH_CAP) -> bool:
-    """Exhaustive backtracking Hamiltonian cycle test (small graphs only)."""
+def has_hamiltonian_cycle(g: Graph) -> bool:
+    """Exhaustive backtracking Hamiltonian cycle test, on orders up to
+    ``HAMILTONIAN_SEARCH_CAP``."""
     n = g.n
-    if n > search_cap:
-        raise GraphError(f"hamiltonicity search refuses order {n} > cap {search_cap}")
+    if n > HAMILTONIAN_SEARCH_CAP:
+        raise GraphError(f"hamiltonicity search refuses order {n} > cap {HAMILTONIAN_SEARCH_CAP}")
     if n < 3:
         return False
     if not is_connected(g) or min_degree(g) < 2:

@@ -314,6 +314,8 @@ def first_failing_vertex(g: Graph, kind: str, obj, k: int = 2) -> Optional[int]:
         return first_failing_vertex(g, "wrdf", GuardFunction.from_vertex_set(g, obj))
     if kind == "kdom":
         _require_subset(g, obj)
+        if k < 1:
+            raise ProtectionError(f"k must be >= 1, got {k}")
         for v in iter_bits(g.full_mask & ~obj.bits):
             if (g.adj[v] & obj.bits).bit_count() < k:
                 return v

@@ -55,9 +55,12 @@ audit's ``InvariantCache`` does: γ_s ≥ γ_wr, so its search begins at size
 secure witness.  Either way the value and witness are those of the search
 from size 0; only ``nodes_explored`` is smaller.
 
-Size limits are configuration (SolverLimits), not constants; exceeding one
-raises LimitExceeded so audit drivers can mark results incomplete instead of
-hanging.
+Size limits are configuration, not constants: SolverLimits holds nine
+order caps, for domination, weak Roman, secure, Roman and k-domination, the
+matching and 2-packing numbers, coloring (with the clique cover) and the
+γ-set list (with tau).  Only the solvers read them.  A solver whose input
+exceeds its cap raises LimitExceeded, so audit drivers can mark results
+incomplete instead of hanging.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graph import (HAMILTONIAN_SEARCH_CAP, Graph, VertexSet, automorphisms, complement,
-                    iter_bits)
+from .graph import Graph, VertexSet, automorphisms, complement, iter_bits
 from .protection import GuardFunction, kdom_mask, unsafe_zeros
 
 
@@ -84,7 +86,10 @@ class LimitExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Per-solver order caps; defaults sized so the acceptance suite runs in minutes.
+    """The nine per-solver order caps, read only by the solvers; defaults
+    sized so the acceptance suite runs in minutes.  The audit's Hamiltonian
+    search is not a solver and keeps the constant cap
+    ``graph.HAMILTONIAN_SEARCH_CAP``.
 
     The coloring cap (``chromatic_max_n``) and the γ-set cap of tau and the
     γ-set list (``gamma_sets_max_n``) are 24, the largest order the benchmark
@@ -111,7 +116,6 @@ class SolverLimits:
     two_packing_max_n: int = 26
     chromatic_max_n: int = 24
     gamma_sets_max_n: int = 24
-    hamiltonian_max_n: int = HAMILTONIAN_SEARCH_CAP
 
     def scaled(self, cap: int) -> "SolverLimits":
         """Clamp every limit to ``cap`` (used by the CLI --limit-n flag)."""
@@ -134,10 +138,11 @@ class SolveResult:
             return {"kind": "vertex_set", "text": w.to_text()}
         if isinstance(w, GuardFunction):
             return {"kind": "guard_function", "text": w.to_text()}
-        if isinstance(w, tuple) and all(isinstance(x, VertexSet) for x in w):
-            return {"kind": "vertex_set_list", "sets": [x.to_text() for x in w]}
-        if isinstance(w, tuple):
+        # Decided by name: an empty matching and an empty coloring are both ().
+        if self.invariant_id == "matching":
             return {"kind": "edge_set", "edges": [list(e) for e in w]}
+        if isinstance(w, tuple):
+            return {"kind": "vertex_set_list", "sets": [x.to_text() for x in w]}
         return {"kind": "none"}
 
     def to_json_dict(self) -> dict:
@@ -149,12 +154,10 @@ class SolveResult:
         }
 
 
-def _check(limits: Optional[SolverLimits], invariant: str, n: int, limit_name: str) -> SolverLimits:
-    limits = limits or DEFAULT_LIMITS
-    cap = getattr(limits, limit_name)
+def _check(limits: Optional[SolverLimits], invariant: str, n: int, limit_name: str) -> None:
+    cap = getattr(limits or DEFAULT_LIMITS, limit_name)
     if n > cap:
         raise LimitExceeded(invariant, n, cap)
-    return limits
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,10 @@ class TestAudit:
         assert not rows_by_id(rep)["secure_ge_leaf_count"].applicable
         assert rep.passed
 
-    def test_hamiltonian_bound_undecided_above_cap(self):
-        rep = audit(cycle(8), SolverLimits(hamiltonian_max_n=5))
+    def test_hamiltonian_bound_undecided_above_cap(self, monkeypatch):
+        import domguard.bounds as bounds_mod
+        monkeypatch.setattr(bounds_mod, "HAMILTONIAN_SEARCH_CAP", 5)
+        rep = audit(cycle(8))
         row = rows_by_id(rep)["hamiltonian_secure_three_sevenths"]
         assert not row.applicable and "undecided" in row.reason
         assert not row.budget_exceeded and not rep.incomplete

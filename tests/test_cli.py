@@ -254,6 +254,13 @@ class TestVerify:
                             "--format", "json"], write_graph6(path(3)) + "\n")
         assert json.loads(out)["ok"] is True
 
+    def test_kdom_k_below_one_is_usage_error(self):
+        # rejected before any input is read, as --limit-n 0 is
+        code, out, err = run(["verify", "--class", "kdom", "--object", "0", "--k", "0",
+                              "--input", "missing.g6"])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --k must be positive")
+
     def test_bad_object_text_is_io_error(self):
         code, _, _ = run(["verify", "--class", "wrdf", "--object", "2,x,1"],
                          write_graph6(path(3)) + "\n")

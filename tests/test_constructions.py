@@ -95,12 +95,6 @@ class TestTwoThirdsTree:
         with pytest.raises(InapplicableError):
             tree_wrdf_two_thirds(Graph(4, [(0, 1), (2, 3)]))
 
-    def test_explicit_tree_must_be_spanning(self):
-        with pytest.raises(InapplicableError):
-            tree_wrdf_two_thirds(cycle(4), tree=path(3))
-        with pytest.raises(InapplicableError):
-            tree_wrdf_two_thirds(cycle(4), tree=Graph(4, [(0, 2), (2, 1), (1, 3)]))
-
     def test_random_trees(self):
         rng = random.Random(32)
         for _ in range(100):

@@ -219,15 +219,15 @@ class TestOperators:
             remove_edge(path(3), 0, 2)
 
     def test_spanning_tree_c4(self):
-        t = spanning_tree(cycle(4), 0)
+        t = spanning_tree(cycle(4))
         assert sorted(t.edges()) == [(0, 1), (0, 3), (1, 2)]
 
     def test_spanning_tree_of_tree_is_identity(self):
         t = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-        assert spanning_tree(t, 0) == t
+        assert spanning_tree(t) == t
 
     def test_spanning_tree_k3_is_star(self):
-        assert sorted(spanning_tree(complete(3), 0).edges()) == [(0, 1), (0, 2)]
+        assert sorted(spanning_tree(complete(3)).edges()) == [(0, 1), (0, 2)]
 
     def test_spanning_tree_properties(self):
         rng = random.Random(5)
@@ -236,13 +236,13 @@ class TestOperators:
             g = random_graph(rng, n, 0.6)
             if not is_connected(g):
                 continue
-            t = spanning_tree(g, 0)
+            t = spanning_tree(g)
             assert t.edge_count == n - 1 and is_connected(t)
             assert all(g.has_edge(u, v) for u, v in t.edges())
 
     def test_spanning_tree_requires_connected(self):
         with pytest.raises(GraphError):
-            spanning_tree(Graph(4, [(0, 1), (2, 3)]), 0)
+            spanning_tree(Graph(4, [(0, 1), (2, 3)]))
 
 
 def bandwidth(g: Graph) -> int:

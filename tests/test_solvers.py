@@ -275,6 +275,13 @@ class TestAuxiliarySolvers:
                 seen.update((u, v))
             assert len(res.witness) == res.value
 
+    def test_empty_matching_is_an_edge_set(self):
+        # () is both the empty matching and the empty coloring; the kind
+        # follows the invariant, not the witness's type
+        assert matching_number(empty(2)).witness_json() == {"kind": "edge_set", "edges": []}
+        for res in (chromatic_number(Graph(0)), clique_cover(Graph(0))):
+            assert res.witness_json() == {"kind": "vertex_set_list", "sets": []}
+
     def test_two_packing_examples(self):
         assert two_packing(corona(path(3), 2)).value == 3
         assert two_packing(complete(6)).value == 1
