@@ -1,6 +1,7 @@
 """domguard: exact solvers, constructive certificates and bound audits for
 graph protection invariants (domination, Roman, weak Roman and secure
-domination), over single-word bitmask graphs."""
+domination), over bitmask graphs whose masks are Python ints; ``Graph`` caps
+the order at ``VERTEX_CAP``."""
 
 from .graph import (Graph, GraphError, VertexSet, VERTEX_CAP, cartesian_product,
                     complement, complete, corona, cycle, empty, generate, hamming,

@@ -24,13 +24,14 @@ Exit codes: 0 success (including incomplete audits), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import random
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import bounds as bounds_mod
 from . import constructions as cons
@@ -56,29 +57,30 @@ class SpecError(ValueError):
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
-    """Uniform random labeled tree (random parent-sequence decode)."""
+    """Uniform random labeled tree (random parent-sequence decode).
+
+    The draws and the decode run inside the edge generator, so ``Graph``
+    rejects an order above its cap before the first draw."""
     if n < 1:
         raise GraphError(f"random tree order must be >= 1, got {n}")
-    if n <= 2:
-        return Graph(n, [(0, 1)] if n == 2 else [])
+    return Graph(n, _random_tree_edges(n, rng))
+
+
+def _random_tree_edges(n: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    if n < 2:
+        return
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
-    import heapq
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    edges = []
     for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
+        yield (heapq.heappop(leaves), v)
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return Graph(n, edges)
+    yield (heapq.heappop(leaves), heapq.heappop(leaves))
 
 
 _G6_CHARS = frozenset(chr(c) for c in range(63, 127))
@@ -267,8 +269,10 @@ def _cmd_solve(args) -> int:
                 lines_out.append(f"  {res['invariant_id']}: skipped ({res['error']})")
             else:
                 w = res["witness"]
-                # an empty witness of any kind prints as None
-                wtxt = w.get("text") or w.get("sets") or w.get("edges") or None
+                # lists print as lists, [] when empty; an empty set or function prints {}
+                wtxt = w.get({"edge_set": "edges", "vertex_set_list": "sets"}.get(w["kind"], "text"))
+                if wtxt == "":
+                    wtxt = "{}"
                 lines_out.append(f"  {res['invariant_id']} = {res['value']}  "
                                  f"witness {wtxt}  nodes {res['nodes_explored']}")
         return "\n".join(lines_out) + "\n"

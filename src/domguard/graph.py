@@ -1,8 +1,10 @@
 """Immutable bitmask graphs: construction, families, operators and structural queries.
 
-Vertices are always 0..n-1 and every vertex subset fits in a single machine
-word (hard cap of VERTEX_CAP vertices), so neighborhoods, covers and search
-states are plain Python ints manipulated with &, |, ~ and bit_count().
+Vertices are always 0..n-1 and every vertex subset is a Python int bitmask,
+so neighborhoods, covers and search states are manipulated with &, |, ~ and
+bit_count().  ``Graph`` caps the order at VERTEX_CAP, checked before it reads
+a single edge; builders pass their edges lazily so an oversized order is
+rejected before it is built.
 A vertex has no name but its index: each family and operator documents how
 it numbers the vertices it builds.
 """
@@ -10,9 +12,10 @@ it numbers the vertices it builds.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
-VERTEX_CAP = 64
+VERTEX_CAP = 1024
 
 HAMILTONIAN_SEARCH_CAP = 24
 
@@ -114,7 +117,7 @@ class VertexSet:
     __slots__ = ("bits", "universe")
 
     def __init__(self, bits: int, universe: int):
-        if universe < 0 or universe > VERTEX_CAP:
+        if universe < 0:
             raise GraphError(f"universe {universe} out of range")
         if bits < 0 or bits >> universe:
             raise GraphError(f"bitmask {bits:#x} has members outside 0..{universe - 1}")
@@ -209,7 +212,7 @@ def path(t: int) -> Graph:
 def cycle(t: int) -> Graph:
     if t < 3:
         raise GraphError(f"cycle order must be >= 3, got {t}")
-    return Graph(t, [(i, (i + 1) % t) for i in range(t)])
+    return Graph(t, ((i, (i + 1) % t) for i in range(t)))
 
 
 def complete(t: int) -> Graph:
@@ -235,8 +238,6 @@ def hamming(k: int, t: int) -> Graph:
     """Iterated Cartesian product of k copies of the complete graph of order t."""
     if k < 1 or t < 1:
         raise GraphError(f"hamming parameters must be positive, got ({k},{t})")
-    if t ** k > VERTEX_CAP:
-        raise GraphError(f"hamming({k},{t}) order {t ** k} exceeds cap {VERTEX_CAP}")
     g = complete(t)
     for _ in range(k - 1):
         g = cartesian_product(g, complete(t))
@@ -246,8 +247,6 @@ def hamming(k: int, t: int) -> Graph:
 def hypercube(d: int) -> Graph:
     if d < 1:
         raise GraphError(f"hypercube dimension must be >= 1, got {d}")
-    if 2 ** d > VERTEX_CAP:
-        raise GraphError(f"hypercube({d}) order {2 ** d} exceeds cap {VERTEX_CAP}")
     return hamming(d, 2)
 
 
@@ -283,18 +282,10 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     g and y == y'.  The numbering is part of the contract: guard placements on
     products must be reproducible across runs.
     """
-    n = g.n * h.n
-    if n > VERTEX_CAP:
-        raise GraphError(f"product order {n} exceeds cap {VERTEX_CAP}")
-    edges = []
-    for x in range(g.n):
-        base = x * h.n
-        for (y, y2) in h.edges():
-            edges.append((base + y, base + y2))
-    for (x, x2) in g.edges():
-        for y in range(h.n):
-            edges.append((x * h.n + y, x2 * h.n + y))
-    return Graph(n, edges)
+    hn = h.n
+    fibers = ((x * hn + y, x * hn + y2) for x in range(g.n) for y, y2 in h.edges())
+    rungs = ((x * hn + y, x2 * hn + y) for x, x2 in g.edges() for y in range(hn))
+    return Graph(g.n * hn, chain(fibers, rungs))
 
 
 def corona(g: Graph, t: int) -> Graph:
@@ -305,25 +296,17 @@ def corona(g: Graph, t: int) -> Graph:
     """
     if t < 1:
         raise GraphError(f"corona pendant count must be >= 1, got {t}")
-    n = g.n * (t + 1)
-    if n > VERTEX_CAP:
-        raise GraphError(f"corona order {n} exceeds cap {VERTEX_CAP}")
-    edges = list(g.edges())
-    for v in range(g.n):
-        for j in range(t):
-            edges.append((v, g.n + v * t + j))
-    return Graph(n, edges)
+    n = g.n
+    pendants = ((v, n + v * t + j) for v in range(n) for j in range(t))
+    return Graph(n * (t + 1), chain(g.edges(), pendants))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus every edge between the two sides."""
-    n = g.n + h.n
-    if n > VERTEX_CAP:
-        raise GraphError(f"join order {n} exceeds cap {VERTEX_CAP}")
-    edges = list(g.edges())
-    edges.extend((g.n + u, g.n + v) for u, v in h.edges())
-    edges.extend((u, g.n + v) for u in range(g.n) for v in range(h.n))
-    return Graph(n, edges)
+    n = g.n
+    right = ((n + u, n + v) for u, v in h.edges())
+    across = ((u, n + v) for u in range(n) for v in range(h.n))
+    return Graph(n + h.n, chain(g.edges(), right, across))
 
 
 def complement(g: Graph) -> Graph:

@@ -227,12 +227,7 @@ def is_df(g: Graph, s: VertexSet) -> bool:
 
 
 def is_rdf(g: Graph, f: GuardFunction) -> bool:
-    _require_over(g, f)
-    reach = 0
-    for u in iter_bits(f.two_mask):
-        reach |= g.adj[u]
-    zeros = g.full_mask & ~f.support_mask
-    return zeros & ~reach == 0
+    return first_failing_vertex(g, "rdf", f) is None
 
 
 def is_wrdf(g: Graph, f: GuardFunction) -> bool:
@@ -246,10 +241,7 @@ def is_secure_dominating(g: Graph, s: VertexSet) -> bool:
 
 
 def is_k_dominating(g: Graph, s: VertexSet, k: int) -> bool:
-    _require_subset(g, s)
-    if k < 1:
-        raise ProtectionError(f"k must be >= 1, got {k}")
-    return kdom_mask(g, s.bits, k)
+    return first_failing_vertex(g, "kdom", s, k) is None
 
 
 def apply_move(f: GuardFunction, defender: int, attacked: int) -> GuardFunction:

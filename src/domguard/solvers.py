@@ -756,6 +756,7 @@ def _dsatur(g: Graph, counter: list[int]) -> tuple[int, tuple[int, ...]]:
     best, best_colors = n + 1, ()
     colors = [-1] * n
     seen = [0] * n  # seen[v]: bitmask of the colors on v's neighbors
+    shift = n.bit_length()  # a degree is below 2**shift, so keys sort as pairs
 
     def rec(uncolored: int, k: int) -> bool:
         """Search below the node; True once the incumbent meets ``lower``."""
@@ -767,8 +768,8 @@ def _dsatur(g: Graph, counter: list[int]) -> tuple[int, tuple[int, ...]]:
             best, best_colors = k, tuple(colors)
             return k == lower
         v, top = -1, -1
-        for u in iter_bits(uncolored):  # degrees are below 64, the vertex cap
-            key = seen[u].bit_count() << 6 | (adj[u] & uncolored).bit_count()
+        for u in iter_bits(uncolored):
+            key = seen[u].bit_count() << shift | (adj[u] & uncolored).bit_count()
             if key > top:
                 v, top = u, key
         rest = uncolored & ~(1 << v)

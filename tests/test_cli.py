@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from domguard import bounds as bounds_mod
 from domguard.cli import (EXIT_BOUND_VIOLATION, EXIT_IO, EXIT_OK, EXIT_USAGE, SpecError,
                           main, parse_family_spec, random_tree)
-from domguard.graph import (Graph, VertexSet, cartesian_product, complete, cycle, is_tree,
-                            iter_bits, path)
+from domguard.graph import (Graph, GraphError, VertexSet, cartesian_product, complete, cycle,
+                            is_tree, iter_bits, path)
 from domguard.graph6 import parse_graph6, write_graph6
 from domguard.protection import GuardFunction, is_rdf, kdom_mask
 
@@ -76,9 +77,29 @@ class TestFamilySpecGrammar:
 
 def test_random_tree_helper():
     rng = random.Random(0)
-    for n in (1, 2, 3, 9, 20):
+    for n in (1, 2, 3, 9, 20, 300):
         t = random_tree(n, rng)
         assert is_tree(t) and t.n == n
+
+
+def test_random_tree_draws_are_pinned():
+    code, out, _ = run(["gen", "randomtree:9", "randomtree:30", "--seed", "4"])
+    assert code == EXIT_OK and out.splitlines() == [
+        "HKS?HD?",
+        "]OG?A?O????C?A???A????O??EI?????????@???_???O??_?CO?K?GO_?C?@???????OA`???"]
+
+
+def test_oversized_random_tree_fails_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="exceeds the vertex cap"):
+            random_tree(10 ** 5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and rng.getstate() == state
 
 
 class TestGen:
@@ -99,6 +120,12 @@ class TestGen:
         for spec in ("path:\u00b2", "path:\u0663"):
             code, out, err = run(["gen", spec])
             assert code == EXIT_USAGE and out == "" and "expected an integer" in err
+
+    @pytest.mark.parametrize("spec", ["hypercube:20000", "hamming:20000:3", "cycle:100000"])
+    def test_order_over_the_cap_is_usage_error(self, spec):
+        code, out, err = run(["gen", spec])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: order ") and "exceeds the vertex cap 1024" in err
 
     def test_seeded_determinism(self):
         _, a, _ = run(["gen", "randomtree:15", "--seed", "3"])
@@ -138,6 +165,14 @@ class TestSolve:
     def test_text_contains_same_numbers(self):
         code, out, _ = run(["solve", "--family", "cycle:7", "--invariants", "gamma_roman"])
         assert code == EXIT_OK and "gamma_roman = 5" in out
+
+    def test_empty_witnesses_print_by_kind(self):
+        code, out, _ = run(["solve", "--family", "empty:2", "--invariants", "matching"])
+        assert code == EXIT_OK and "  matching = 0  witness []  nodes " in out
+        code, out, _ = run(["solve", "--family", "g6:?", "--invariants", "gamma,chromatic"])
+        assert code == EXIT_OK
+        assert "  gamma = 0  witness {}  nodes " in out
+        assert "  chromatic = 0  witness []  nodes " in out
 
     def test_limit_exceeded_continues(self):
         stdin = write_graph6(path(12)) + "\n" + write_graph6(path(3)) + "\n"
@@ -265,6 +300,47 @@ class TestVerify:
         code, _, _ = run(["verify", "--class", "wrdf", "--object", "2,x,1"],
                          write_graph6(path(3)) + "\n")
         assert code == EXIT_IO
+
+
+class TestOrder400:
+    """The ladder P200 x K2 and random trees of order 300, past the old
+    64-vertex cap: they build, verify and certify, and the solvers skip them
+    on their own caps."""
+
+    ROW0 = ",".join(str(v) for v in range(0, 400, 2))
+
+    @pytest.fixture(scope="class")
+    def ladder_line(self):
+        code, out, _ = run(["gen", "prod:path:200,complete:2"])
+        assert code == EXIT_OK
+        return out
+
+    def test_verify_secure(self, ladder_line):
+        # vertex (x, y) is 2x + y: row 0 is secure, and without vertex 200
+        # the vertex 201 above it is undominated
+        code, out, _ = run(["verify", "--class", "secure", "--object", self.ROW0], ladder_line)
+        assert code == EXIT_OK and out == "class secure: VALID\n"
+        holed = ",".join(str(v) for v in range(0, 400, 2) if v != 200)
+        code, out, _ = run(["verify", "--class", "secure", "--object", holed], ladder_line)
+        assert code == EXIT_OK
+        assert out == "class secure: INVALID\nfirst failing vertex: 201\n"
+
+    def test_solve_skips_over_the_solver_caps(self, ladder_line):
+        code, out, _ = run(["solve", "--format", "json"], ladder_line)
+        assert code == EXIT_OK
+        [entry] = json.loads(out)
+        assert entry["n"] == 400
+        assert [r["invariant_id"] for r in entry["results"]] == [
+            "gamma", "gamma_weak_roman", "gamma_secure"]
+        for r in entry["results"]:
+            assert "value" not in r and "order 400 exceeds solver limit" in r["error"]
+
+    @pytest.mark.parametrize("algorithm", ["tree-secure", "two-thirds"])
+    def test_tree_certificates(self, algorithm):
+        code, out, _ = run(["construct", "--algorithm", algorithm, "--family", "randomtree:300",
+                            "--seed", "5", "--format", "json"])
+        d = json.loads(out)
+        assert code == EXIT_OK and d["valid"] and d["achieved"] <= d["claimed_bound"]
 
 
 class TestConstruct:

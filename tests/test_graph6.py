@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from domguard.graph import Graph, complete, cycle, empty, star
+from domguard.graph import (VERTEX_CAP, Graph, cartesian_product, complete, cycle, empty, path,
+                            star)
 from domguard.graph6 import (EdgeListError, Graph6Error, parse_edge_list, parse_graph6,
                              parse_graph6_lines, write_edge_list, write_graph6)
 
@@ -46,6 +47,14 @@ def test_round_trip_at_cap_via_long_header():
     assert parse_graph6(line) == g
     g64 = Graph(64, [(0, 63)])
     assert parse_graph6(write_graph6(g64)) == g64
+    top = Graph(VERTEX_CAP, [(0, VERTEX_CAP - 1), (1, 2), (VERTEX_CAP - 2, VERTEX_CAP - 1)])
+    assert parse_graph6(write_graph6(top)) == top
+
+
+def test_round_trip_ladder_of_order_400():
+    ladder = cartesian_product(path(200), complete(2))
+    line = write_graph6(ladder)
+    assert line.startswith("~") and parse_graph6(line) == ladder
 
 
 class TestParseErrors:
@@ -69,8 +78,8 @@ class TestParseErrors:
         assert exc.value.offset == 2
 
     def test_order_over_cap(self):
-        with pytest.raises(Graph6Error):
-            parse_graph6("~?A?")  # long-form header claiming n=128 > cap
+        with pytest.raises(Graph6Error, match="vertex cap 1024"):
+            parse_graph6("~?O@")  # long-form header claiming n=1025 > cap
 
     def test_nonzero_padding_rejected(self):
         # K_2 is "A_": data byte '_' = 0b100000; flip a padding bit

@@ -306,6 +306,18 @@ class TestAuxiliarySolvers:
         assert clique_cover(complete(8)).value == 1
         assert clique_cover(cycle(5)).value == 3
 
+    def test_coloring_past_degree_64(self):
+        """The DSATUR key orders (saturation, uncolored degree) pairs at any
+        degree: the hubs of K3-bar + C71 go first and nothing backtracks."""
+        limits = SolverLimits(chromatic_max_n=120)
+        for g, value in ((join(empty(3), cycle(71)), 4), (join(complete(2), cycle(80)), 4),
+                         (star(100), 2), (complete(70), 70)):
+            res = chromatic_number(g, limits)
+            assert res.value == value and len(res.witness) == value
+            assert sum(len(cls) for cls in res.witness) == g.n
+            assert all(not g.adj[v] & cls.bits for cls in res.witness for v in cls)
+            assert res.nodes_explored == g.n + 1
+
     def test_ng_chromatic_tightness_on_c5(self):
         assert chromatic_number(cycle(5)).value + chromatic_number(complement(cycle(5))).value == 6
 
